@@ -29,6 +29,7 @@ z is restricted to a scalar (single row), and the scattering matrix is
 fixed to the identity and never represented.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -71,13 +72,22 @@ class QuantumModel:
 
 
 def constants(n):
-    """J and Sigma of size 2n x 2n (exact 0/±1 entries)."""
+    """J and Sigma of size 2n x 2n (exact 0/±1 entries).
+
+    Built once per n and shared: the arrays are read-only, so writing
+    into them raises ValueError.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DimensionError(f"mode count must be a positive integer, got {n!r}")
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    J = np.block([[eye, zero], [zero, -eye]])
-    Sigma = np.block([[zero, eye], [eye, zero]])
+    return _constants(int(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _constants(n):
+    J = np.diag(np.repeat([1.0, -1.0], n))
+    Sigma = np.roll(np.eye(2 * n), n, axis=1)
+    J.flags.writeable = False
+    Sigma.flags.writeable = False
     return Constants(J=J, Sigma=Sigma)
 
 

@@ -162,20 +162,15 @@ def is_hurwitz(f, margin_tol=HURWITZ_MARGIN_TOL):
 
 
 def freq_response(plant, omega):
-    """H(i omega) = C (i omega I - F)^{-1} B as a complex scalar."""
-    n2 = plant.F.shape[0]
-    a = 1j * float(omega) * np.eye(n2) - plant.F
-    if np.linalg.cond(a) > 1e13:
-        raise NumericError(f"frequency {omega!r} is too close to a pole of the response")
-    y = np.linalg.solve(a, plant.B)
-    return complex((plant.C @ y)[0, 0])
+    """H(i omega) = C (i omega I - F)^{-1} B as a complex scalar (see transfer_scalar)."""
+    return complex(transfer_scalar(plant.F, plant.B, plant.C, [float(omega)])[0])
 
 
 def hinf_norm(plant, rel_tol=1e-9):
-    """||H||_inf via Hamiltonian bisection; requires a Hurwitz drift."""
-    hur, _ = is_hurwitz(plant.F, 0.0)
-    if not hur:
-        raise PreconditionError("H-infinity norm is undefined: drift is not Hurwitz")
+    """||H||_inf by the Hamiltonian level-set method, within rel_tol.
+
+    Raises PreconditionError when the drift is not Hurwitz.
+    """
     return hinf_bisect(plant.F, plant.B, plant.C, rel_tol=rel_tol)
 
 

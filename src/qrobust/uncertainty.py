@@ -108,7 +108,9 @@ def gain_gamma(u, rel_tol=1e-9):
 
     This is the largest gain parameter for which the uncertainty
     satisfies its sector constraint; callers may certify against any
-    smaller value.
+    smaller value.  The norm comes from the Hamiltonian level-set
+    method (see qrobust._linalg.hinf_bisect) and is within rel_tol of
+    an attained response value.
     """
     a, b, c, _ = _validate(u)
     _require_hurwitz(a)

@@ -134,3 +134,14 @@ def test_validate_model_deterministic_diagnostics():
             validate_model(m, n_a, n_b, e)
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+def test_constants_are_cached_and_read_only():
+    cn = constants(3)
+    assert constants(3) is cn
+    assert constants(np.int64(3)) is cn
+    with pytest.raises(ValueError):
+        cn.J[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        cn.Sigma[0, 0] = 5.0
+    assert cn.J[0, 0] == 1.0 and cn.Sigma[0, 0] == 0.0

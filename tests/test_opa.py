@@ -118,3 +118,18 @@ def test_sweep_rows_deterministic_and_agreeing():
     assert rows1 == rows2
     assert [r["index"] for r in rows1] == list(range(40))
     assert all(r["agree"] for r in rows1)
+
+
+def test_cross_validate_nearly_marginal_draw():
+    # draw 1339 of sweep seed 31: plant abscissa -3.7e-6, where an absolute
+    # Hamiltonian axis tolerance overshot |H|_inf by 3.6e-6
+    p = OpaParams(chi=0.3045733833026578, kappa_a=0.1800822527248351,
+                  kappa_b=0.23654867082453662,
+                  abar=0.05270091439985441 - 0.23137423017658265j,
+                  bbar=0.06039770841178712 - 0.28938231718960833j)
+    q = closed_form_quantities(p)
+    assert -4e-6 < q["F_eigs"][0] < -3e-6
+    rep = cross_validate(p)
+    assert rep["agree"]
+    hinf = next(c for c in rep["checks"] if c["quantity"] == "hinf")
+    assert hinf["rel_err"] <= 1e-6
