@@ -20,16 +20,14 @@ block symmetry satisfying the strict inequality
 The margin guarantees an unrestricted Hermitian solution (bounded real
 lemma), but the structural constraint is a genuine extra requirement:
 for some multi-mode plants with generic complex output rows the
-structured feasible set is empty even though the margin holds, so the
-solvers below report failure rather than certify.  Finding P when it
-does exist is still delicate.  The stabilizing solution of the shifted
-Riccati *equation* is generally not block-structured: conjugating the
-equation by Sigma swaps the input Gram J C^dagger C J with the
-output-side Gram E^dagger E, so the symmetrized matrix
-(P + Sigma P^# Sigma)/2 solves neither equation and can lose strict
-negativity when the margin is thin.  certify() therefore walks a ladder
-of constructions, cheapest first, re-verifying every candidate against
-the strict inequality before accepting it:
+structured feasible set is empty even though the margin holds.  The
+stabilizing solution of the shifted Riccati *equation* is generally not
+block-structured: conjugating the equation by Sigma swaps the input
+Gram J C^dagger C J with the output-side Gram E^dagger E, so the
+symmetrized matrix (P + Sigma P^# Sigma)/2 solves neither equation and
+can lose strict negativity when the margin is thin.  certify()
+therefore tries three constructions, cheapest first, re-verifying every
+candidate against the strict inequality before accepting it:
 
  1. the shifted equation with symmetrization and shift backtracking
     (the textbook route; accepts the large majority of feasible cases);
@@ -38,16 +36,16 @@ the strict inequality before accepting it:
     so the stabilizing solution is exactly structured and dominates the
     single-channel inequality, at the price of a stronger feasibility
     requirement;
- 3. P = p Y with Y the (exactly structured) solution of
-    F^dagger Y + Y F = -I and p a one-dimensional convex minimization of
-    the inequality's top eigenvalue;
- 4. global convex minimization of the top eigenvalue of the inequality's
-    Schur-complement form, which is affine in the structured
-    parameterization; its failure is evidence of structured
-    infeasibility, not of a stalled search.
+ 3. an exact log-barrier solve of the inequality's Schur-complement form,
+    a linear matrix inequality in the structured parameterization, for
+    the global minimum of its top eigenvalue (route 'eig-opt').  This
+    rung is exact, so its failure is not a stalled search: a positive
+    dual bound proves that no structured certificate exists at this
+    gamma, and InfeasibleError reports it; a minimum within LMI_GAP_TOL
+    of zero is reported as not negative.
 
 Every returned certificate records which construction produced it, the
-shift used (0 for the shift-free routes), the residual of the equation
+shift used (0 for the shift-free route), the residual of the equation
 that was actually solved, and the verified inequality eigenvalue.
 """
 
@@ -56,9 +54,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
-from ._linalg import (hermitian_part, hinf_bisect, lyap, riccati_stabilizing,
+# lyap is unused here, but perfbench/spans.py wraps smallgain.lyap by name
+from ._linalg import (hermitian_part, hinf_bisect, lyap, riccati_stabilizing,  # noqa: F401
                       spectral_abscissa, transfer_scalar)
 from .errors import (DimensionError, InfeasibleError, NumericError,
                      PreconditionError)
@@ -90,6 +88,11 @@ COMM_FACTOR = 2.0
 HURWITZ_MARGIN_TOL = 1e-9  # strict inequality needs a numerical witness
 EPS_START_FACTOR = 1e-2    # shift ladder: eps from 1e-2 |F|_2 ...
 EPS_FLOOR_FACTOR = 1e-10   # ... halved down to 1e-10 |F|_2
+LMI_GAP_TOL = 1e-8         # barrier solve stops once the duality gap (2n+1) mu is this
+LMI_MU_START = 1e-2        # barrier weight mu of the first centering
+LMI_MU_FACTOR = 0.05       # mu shrinks by this factor after each centering
+LMI_CENTER_TOL = 0.25      # a centering ends at this squared Newton decrement
+LMI_MAX_STEPS = 1000       # Newton steps over one solve; reaching it is a breakdown
 
 
 @dataclass
@@ -108,7 +111,7 @@ class StructuredP:
 
     are_residual is the max-entry residual of the Riccati equation the
     producing construction actually solved, evaluated on its own
-    solution; it is None for the shift-free constructions, which do not
+    solution; it is None for the shift-free construction, which does not
     solve an equation.  qmi_max_eig is the top eigenvalue of the strict
     inequality left side (no shift) at the returned P and is negative
     for every accepted certificate.
@@ -254,30 +257,8 @@ def _solve_two_channel(plant, gamma, eps):
     return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual))
 
 
-def _solve_scaled_lyapunov(plant, gamma):
-    """Certificate p Y with F^dagger Y + Y F = -I and a 1-D eigenvalue search.
-
-    The Lyapunov solution is exactly structured (conjugating the
-    equation by Sigma reproduces it, and the solution is unique), and
-    the inequality's top eigenvalue is convex in the scale p.
-    """
-    cn = constants(plant.n)
-    y = _structure_symmetrize(lyap(plant.F.conj().T, np.eye(2 * plant.n)), cn.Sigma)
-    if float(np.linalg.eigvalsh(y).min()) <= 0:
-        raise InfeasibleError("Lyapunov scaling base is not positive definite")
-
-    def top_eig(log_p):
-        p = math.exp(log_p) * y
-        return float(np.linalg.eigvalsh(_qmi_lhs(plant, gamma, p)).max())
-
-    res = minimize_scalar(top_eig, bounds=(-40.0, 40.0), method="bounded",
-                          options={"xatol": 1e-12})
-    p = math.exp(res.x) * y
-    return _accept(_certificate(plant, gamma, p, 0.0, "scaled-lyapunov", None))
-
-
 def _structured_basis(n):
-    """Real basis of the Hermitian doubled-up class (dimension 2 n^2 + n)."""
+    """Real basis of the Hermitian doubled-up class, (2 n^2 + n, 2n, 2n)."""
     basis = []
     zero = np.zeros((n, n))
 
@@ -300,109 +281,118 @@ def _structured_basis(n):
             e[i, j] = 1.0; e[j, i] = 1.0
             basis.append(assemble(zero, e))
             basis.append(assemble(zero, 1j * e))
-    return basis
+    return np.array(basis, dtype=complex)
 
 
-def _solve_eig_opt(plant, gamma, starts):
-    """Last resort: global minimization of the inequality's top eigenvalue.
+def _solve_lmi(plant, gamma):
+    """Global minimum of the top eigenvalue of the inequality's Schur form.
 
-    The Schur complement turns the quadratic inequality into the affine
-    block form [[F'P + PF + C'C/g^2, 2PB], [2B'P, -I]] < 0, so the top
-    eigenvalue is convex in the structured coefficients and a smoothed
-    (log-sum-exp) gradient descent with decreasing temperature reaches
-    the global minimum.  A positive minimum therefore means no
-    structured certificate exists at this gamma, which does happen for
-    some multi-mode plants even with a positive margin.  P > 0 needs no
-    separate constraint: the (1,1) block forces F'P + PF < 0, which for
-    Hurwitz F is a Lyapunov certificate of positive definiteness.
+    The Schur complement turns the quadratic inequality into the block
+    form [[F'P + PF + C'C/g^2, 2PB], [2B'P, -1]] < 0.  Homogenized in
+    (P, tau) as S(P, tau) = [[F'P + PF + tau C'C/g^2, 2PB], [2B'P, -tau]]
+    and restricted to tr P + tau = 1, it is affine in the real
+    coefficients theta of P in the structured basis, and a certificate
+    exists iff the minimum of its top eigenvalue is negative (then
+    tau > 0 and P / tau is one).  The restriction makes the feasible set
+    compact, so the central path stays bounded even where P can grow
+    along nearly uncontrollable directions of (F, B) at little cost.
+
+    A primal log-barrier method solves min t subject to S(theta) - tI < 0
+    exactly: damped Newton centering on t/mu - log det(tI - S(theta)),
+    with mu shrinking from LMI_MU_START by LMI_MU_FACTOR until the
+    duality gap (2n+1) mu is at LMI_GAP_TOL.  Near each center the Newton step gives a dual
+    point Y with tr Y = 1 and tr(Y dS/dtheta_k) = 0; once it is checked
+    positive semidefinite, tr(S(0) Y) is a lower bound on the minimum,
+    and when that bound is positive no structured certificate exists at
+    this gamma and InfeasibleError reports it.  P > 0 needs no separate
+    constraint: the (1,1) block forces F'P + PF < 0, which for Hurwitz F
+    is a Lyapunov certificate of positive definiteness.
+
+    The solve runs on the normalized plant F / |F|_2 with gain
+    gamma |F|_2, whose inequality is |F|_2^{-2} times the original one
+    at P / |F|_2, so it is exactly invariant under time rescaling; the
+    certificate |F|_2 P / tau is re-verified on the original plant.
     """
+    nf = float(np.linalg.norm(plant.F, 2))
+    f = plant.F / nf
     n2 = 2 * plant.n
     basis = _structured_basis(plant.n)
-    dim = len(basis)
-
+    dim = basis.shape[0]
+    # tI - S(theta) = sum_k x_k G_k - a0 over x = (theta, t), with
+    # tau = 1 - tr P eliminated
     a0 = np.zeros((n2 + 1, n2 + 1), dtype=complex)
-    a0[:n2, :n2] = _inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C)
+    a0[:n2, :n2] = _inv_gamma_sq(gamma * nf) * (plant.C.conj().T @ plant.C)
     a0[n2, n2] = -1.0
-    blocks = np.zeros((dim, n2 + 1, n2 + 1), dtype=complex)
-    for k, e in enumerate(basis):
-        blocks[k, :n2, :n2] = plant.F.conj().T @ e + e @ plant.F
-        col = 2.0 * (e @ plant.B)[:, 0]
-        blocks[k, :n2, n2] = col
-        blocks[k, n2, :n2] = col.conj()
+    gens = np.zeros((dim + 1, n2 + 1, n2 + 1), dtype=complex)
+    gens[:dim, :n2, :n2] = -(f.conj().T @ basis + basis @ f)
+    col = -2.0 * (basis @ plant.B)[:, :, 0]
+    gens[:dim, :n2, n2] = col
+    gens[:dim, n2, :n2] = col.conj()
+    gens[:dim] += np.trace(basis, axis1=1, axis2=2).real[:, None, None] * a0
+    gens[dim] = np.eye(n2 + 1)
+    flat_gens = gens.reshape(dim + 1, -1)
+    gram = (flat_gens.conj() @ flat_gens.T).real  # tr(G_k G_l)
 
-    def unpack(theta):
-        p = np.zeros((n2, n2), dtype=complex)
-        for coeff, mat in zip(theta, basis):
-            p = p + coeff * mat
-        return p
-
-    def smoothed(theta, tau):
-        s = a0 + np.tensordot(theta, blocks, axes=1)
-        lam, vec = np.linalg.eigh(s)
-        shifted = np.exp((lam - lam[-1]) / tau)
-        f = float(lam[-1]) + tau * math.log(float(shifted.sum()))
-        weights = shifted / shifted.sum()
-        w = (vec * weights) @ vec.conj().T
-        grad = np.real(np.einsum("ij,kji->k", w, blocks))
-        return f, grad
-
-    # the basis is Frobenius-orthogonal, so projection is coefficient-wise
-    thetas = [np.array([np.vdot(g, p0).real / np.vdot(g, g).real for g in basis])
-              for p0 in starts]
-    identity_start = np.zeros(dim)
-    identity_start[:plant.n] = 1.0
-    thetas.append(identity_start)
-    thetas.append(np.zeros(dim))
-
-    tau_scale = max(1.0, float(np.abs(a0).max()), float(np.abs(blocks).max()))
-    taus = tau_scale * np.geomspace(1.0, 1e-8, 14)
-
-    best = None
-    for theta0 in thetas:
-        theta = theta0
-        for tau in taus:
-            res = minimize(smoothed, theta, args=(float(tau),), jac=True,
-                           method="L-BFGS-B",
-                           options={"maxiter": 3000, "ftol": 1e-18, "gtol": 1e-14})
-            theta = res.x
-        try:
-            cert = _accept(_certificate(plant, gamma, hermitian_part(unpack(theta)),
-                                        0.0, "eig-opt", None))
-        except InfeasibleError:
-            continue
-        if best is None or cert.qmi_max_eig < best.qmi_max_eig:
-            best = cert
-    if best is None:
-        raise InfeasibleError("no structured certificate found by direct minimization")
-    return best
+    x = np.zeros(dim + 1)
+    x[dim] = float(np.linalg.eigvalsh(a0).max()) + 1.0
+    mu = LMI_MU_START
+    try:
+        for _ in range(LMI_MAX_STEPS):
+            z = (x @ flat_gens).reshape(n2 + 1, n2 + 1) - a0
+            r_inv = np.linalg.inv(np.linalg.cholesky(z))
+            g = r_inv @ gens @ r_inv.conj().T  # congruent generators
+            flat = g.reshape(dim + 1, -1).view(float)
+            grad = -np.trace(g, axis1=1, axis2=2).real
+            grad[dim] += 1.0 / mu
+            step = -np.linalg.solve(flat @ flat.T, grad)  # Hessian tr(g_k g_l)
+            dec = -float(grad @ step)  # squared Newton decrement
+            if not dec >= 0:
+                raise NumericError("LMI barrier Hessian is not positive definite")
+            if dec > LMI_CENTER_TOL:
+                # damped step: stays inside the Dikin ellipsoid, so tI - S stays > 0
+                x = x + step / (1.0 + math.sqrt(dec))
+                continue
+            if x[dim] - (n2 + 1) * mu > 0:
+                # Y = mu R^-dagger (I - sum_k step_k g_k) R^-1 meets the dual
+                # constraints tr(G_k Y) = [k is t] up to rounding, which the
+                # projection onto them removes
+                y = mu * (r_inv.conj().T @ (np.eye(n2 + 1) - np.tensordot(step, g, 1)) @ r_inv)
+                res = (flat_gens.conj() @ y.reshape(-1)).real
+                res[dim] -= 1.0
+                y = y - np.tensordot(np.linalg.solve(gram, res), gens, 1)
+                lower = float(np.trace(a0 @ y).real)
+                if lower > 0 and float(np.linalg.eigvalsh(y).min()) >= 0:
+                    raise InfeasibleError(
+                        "no structured certificate exists at this gamma: the top eigenvalue "
+                        f"of the normalized Schur form is at least {lower:.3e}")
+            if mu <= LMI_GAP_TOL / (n2 + 1):
+                break
+            mu = max(LMI_MU_FACTOR * mu, LMI_GAP_TOL / (n2 + 1))
+        else:
+            raise NumericError(f"LMI barrier solve did not converge in {LMI_MAX_STEPS} steps")
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"LMI barrier solve failed: {exc}") from exc
+    if x[dim] >= 0:
+        raise InfeasibleError(
+            f"the minimum top eigenvalue of the normalized Schur form, {x[dim]:.3e}, "
+            "is not negative")
+    p_hat = hermitian_part(np.tensordot(x[:dim], basis, 1))
+    p = nf / (1.0 - float(np.trace(p_hat).real)) * p_hat
+    return _accept(_certificate(plant, gamma, p, 0.0, "eig-opt", None))
 
 
 def _qmi_search(plant, gamma):
     """Route ladder; see the module docstring."""
     nf = float(np.linalg.norm(plant.F, 2))
     eps_floor = EPS_FLOOR_FACTOR * nf
-    starts = []
     for solver in (solve_qmi, _solve_two_channel):
         eps = EPS_START_FACTOR * nf
         while eps >= eps_floor:
             try:
                 return solver(plant, gamma, eps)
-            except InfeasibleError:
+            except (InfeasibleError, NumericError):
                 eps *= 0.5
-            except NumericError:
-                eps *= 0.5
-    try:
-        cert = _solve_scaled_lyapunov(plant, gamma)
-        return cert
-    except (InfeasibleError, NumericError):
-        pass
-    try:
-        y = lyap(plant.F.conj().T, np.eye(2 * plant.n))
-        for scale in (1.0, 0.1, 10.0):
-            starts.append(scale * y / max(float(np.abs(y).max()), 1e-12))
-    except NumericError:
-        pass
-    return _solve_eig_opt(plant, gamma, starts)
+    return _solve_lmi(plant, gamma)
 
 
 def comm_constant(p, e_tilde):

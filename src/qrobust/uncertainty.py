@@ -80,10 +80,12 @@ def _validate(u):
     return a, b, c, w
 
 
+_NOT_HURWITZ = "uncertainty drift A_u is not Hurwitz; sector parameters are undefined"
+
+
 def _require_hurwitz(a):
     if spectral_abscissa(a) >= 0:
-        raise PreconditionError(
-            "uncertainty drift A_u is not Hurwitz; sector parameters are undefined")
+        raise PreconditionError(_NOT_HURWITZ)
 
 
 def from_bilinear_coupling(g, kappa_b):
@@ -103,29 +105,15 @@ def from_bilinear_coupling(g, kappa_b):
         noise_cov=np.array([[kappa_b]], dtype=complex))
 
 
-def gain_gamma(u, rel_tol=1e-9):
-    """gamma = 1 / ||C_u (sI - A_u)^{-1} B_u||_inf, or +inf for a zero channel.
-
-    This is the largest gain parameter for which the uncertainty
-    satisfies its sector constraint; callers may certify against any
-    smaller value.  The norm comes from the Hamiltonian level-set
-    method (see qrobust._linalg.hinf_bisect) and is within rel_tol of
-    an attained response value.
-    """
-    a, b, c, _ = _validate(u)
-    _require_hurwitz(a)
-    norm = hinf_bisect(a, b, c, rel_tol=rel_tol)
+def _gain(a, b, c, rel_tol):
+    try:
+        norm = hinf_bisect(a, b, c, rel_tol=rel_tol)  # tests A_u for Hurwitz itself
+    except PreconditionError as exc:
+        raise PreconditionError(_NOT_HURWITZ) from exc
     return math.inf if norm == 0.0 else 1.0 / norm
 
 
-def steady_state_delta1(u):
-    """Zero-input steady-state covariance of w: C_u X C_u^dagger.
-
-    X is the solution of A_u X + X A_u^dagger + NoiseCov = 0, which is
-    Hermitian PSD for a Hurwitz drift.
-    """
-    a, b, c, w = _validate(u)
-    _require_hurwitz(a)
+def _delta1(a, c, w):
     x = lyap(a, w)
     scale = max(float(np.abs(x).max()), 1e-300)
     if float(np.abs(x - x.conj().T).max()) > 1e-10 * scale:
@@ -136,13 +124,40 @@ def steady_state_delta1(u):
     return max(value.real, 0.0)
 
 
+def gain_gamma(u, rel_tol=1e-9):
+    """gamma = 1 / ||C_u (sI - A_u)^{-1} B_u||_inf, or +inf for a zero channel.
+
+    This is the largest gain parameter for which the uncertainty
+    satisfies its sector constraint; callers may certify against any
+    smaller value.  The norm comes from the Hamiltonian level-set
+    method (see qrobust._linalg.hinf_bisect) and is within rel_tol of
+    an attained response value.  Raises PreconditionError when A_u is
+    not Hurwitz.
+    """
+    a, b, c, _ = _validate(u)
+    return _gain(a, b, c, rel_tol)
+
+
+def steady_state_delta1(u):
+    """Zero-input steady-state covariance of w: C_u X C_u^dagger.
+
+    X is the solution of A_u X + X A_u^dagger + NoiseCov = 0, which is
+    Hermitian PSD for a Hurwitz drift.
+    """
+    a, _, c, w = _validate(u)
+    _require_hurwitz(a)
+    return _delta1(a, c, w)
+
+
 def qsiqc_params(u, rel_tol=1e-9):
     """(gamma, delta1, delta2) for the two sector constraints.
 
-    delta2 = 0: a bilinear coupling has identically zero curvature
-    output, so its constraint holds with zero budget.
+    The block is validated, and A_u tested for Hurwitz, once.  delta2 =
+    0: a bilinear coupling has identically zero curvature output, so its
+    constraint holds with zero budget.
     """
-    return gain_gamma(u, rel_tol=rel_tol), steady_state_delta1(u), 0.0
+    a, b, c, w = _validate(u)
+    return _gain(a, b, c, rel_tol), _delta1(a, c, w), 0.0
 
 
 _UNC_FIELDS = ("A_u", "B_u", "C_u", "NoiseCov")

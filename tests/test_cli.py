@@ -1,10 +1,14 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qrobust
 from qrobust.cli import parse_complex, run
 from qrobust.errors import PreconditionError
 from qrobust.model import model_to_json
@@ -217,3 +221,12 @@ def test_cli_byte_determinism(model_files, capsys):
                     str(unc_path)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize costs about 20 MB of resident memory at every start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qrobust.__file__)))
+    code = "import sys, qrobust, qrobust.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

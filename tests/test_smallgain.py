@@ -1,11 +1,13 @@
 """Plant construction, gain margin, QMI certificates, and the bound."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 
-from qrobust.errors import NumericError, PreconditionError
+from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.model import constants, validate_model
 from qrobust.opa import OpaParams, build_opa_model
 from qrobust.smallgain import (COMM_FACTOR, PlantMatrices, certify,
@@ -25,6 +27,28 @@ FLAGSHIP_DELTA1 = 0.04
 def flagship_plant():
     model, _, _ = build_opa_model(FLAGSHIP)
     return compute_F(model)
+
+
+def tight_margin_draw(seed, n, index):
+    """Draw `index` of a seeded stream of tight-margin n-mode plants.
+
+    The stream is perfbench/workloads.multimode_draw(default_rng(seed), n,
+    2.1, screen=False): N_a = sqrt(kappa) I with kappa > 2 |J M|_2, so F
+    is Hurwitz by construction, and gamma = 2.1 ||H||_inf.  Such draws
+    reach the last certificate rung, and some have no structured
+    certificate at all.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        g1 = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        g2 = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        p1, p2 = 0.5 * (g1 + g1.conj().T), 0.5 * (g2 + g2.T)
+        m = np.block([[p1, p2], [p2.conj(), p1.conj()]])
+        kappa = rng.uniform(1.1, 2.0) * 2.0 * float(np.linalg.norm(constants(n).J @ m, 2))
+        e = rng.uniform(-1, 1, (1, 2 * n)) + 1j * rng.uniform(-1, 1, (1, 2 * n))
+        rng.uniform(0.0, 2.0 * math.pi)  # the coupling phase of the benchmark's draw
+    model = validate_model(m, math.sqrt(kappa) * np.eye(2 * n), math.sqrt(2.0) * np.eye(2), e)
+    return model, 2.1 * hinf_norm(compute_F(model))
 
 
 def test_compute_F_flagship_matrices():
@@ -230,3 +254,44 @@ def test_certificate_structure_across_random_certified_instances():
         # recorded constant must be recomputable from the recorded P
         assert rep.comm_constant == pytest.approx(
             comm_constant(p, model.E_tilde), abs=1e-15)
+
+
+def test_structure_infeasible_draw_is_proven_fast():
+    model, gamma = tight_margin_draw(5, 2, 6)
+    t0 = time.perf_counter()
+    with pytest.raises(InfeasibleError) as info:
+        certify(model, gamma)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.5
+    bound = re.search(r"at least (\S+)$", str(info.value))
+    assert bound is not None and float(bound.group(1)) > 0
+
+
+def test_four_mode_tight_margin_certifies_fast():
+    model, gamma = tight_margin_draw(9, 4, 2)
+    t0 = time.perf_counter()
+    rep = certify(model, gamma)
+    elapsed = time.perf_counter() - t0
+    assert rep.verdict == "certified" and rep.P.route == "eig-opt"
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+@pytest.mark.parametrize("index", range(8))
+def test_lmi_rung_is_invariant_under_time_rescaling(index, c):
+    # (M, N_a, gamma) -> (cM, sqrt(c) N_a, gamma/c) maps F to cF with B, C
+    # fixed: same verdict and route, P scaled by c, same bound
+    model, gamma = tight_margin_draw(5, 2, index)
+    scaled = validate_model(c * model.M, math.sqrt(c) * model.N_a, model.N_b,
+                            model.E_tilde)
+    try:
+        rep = certify(model, gamma)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            certify(scaled, gamma / c)
+        return
+    rep_c = certify(scaled, gamma / c)
+    assert rep.P.route == "eig-opt" and rep_c.P.route == "eig-opt"
+    assert rep_c.verdict == rep.verdict == "certified"
+    assert float(np.abs(rep_c.P.P - c * rep.P.P).max()) <= 1e-9 * c * float(np.abs(rep.P.P).max())
+    assert abs(rep_c.ms_bound - rep.ms_bound) <= 1e-9 * rep.ms_bound
