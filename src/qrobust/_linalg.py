@@ -1,25 +1,41 @@
 """Dense linear-algebra workhorses shared by the certification modules.
 
-Everything here operates on plain complex ndarrays.  The Riccati solver
-is the classical invariant-subspace construction: an ordered complex
-Schur factorization of the 4n x 4n matrix [[A, R], [-Q, -A^dagger]]
-selects the stable subspace [U; V], and P = V U^{-1} is the stabilizing
-solution of A^dagger P + P A + P R P + Q = 0.  Frequency responses and
-the H-infinity norm share one complex Schur factorization A = U T U^dagger
-per call: responses come from back-substitution on the triangular T,
-and the norm from the level-set iteration on the Hamiltonian
-[[A, B B^dagger / g], [-C^dagger C / g, -A^dagger]], whose
-imaginary-axis eigenvalues i w are exactly the frequencies where the
-response magnitude equals g.
+Everything here operates on plain complex ndarrays, and every drift is
+factored by one routine, `schur`: a single direct LAPACK `zgees` call
+with its default workspace, giving the complex Schur form A = U T U^dagger.
+`scipy.linalg.schur` runs `zgees` twice per call (a workspace query,
+then the factorization) and validates its input again, which on the
+1x1 to 4x4 drifts of a one-mode plant costs several times the
+factorization itself; `schur` keeps its finiteness and `info` checks
+and raises NumericError for both.  Callers that need several results
+from one drift factor it once and pass (T, U) on:
+
+- the Hurwitz test and the spectral abscissa read diag T;
+- frequency responses are back-substitutions on the triangular T, and
+  the H-infinity norm is the level-set iteration on the Hamiltonian
+  [[T, b b^dagger / g], [-c^dagger c / g, -T^dagger]] in the Schur
+  basis, whose imaginary-axis eigenvalues i w are exactly the
+  frequencies where the response magnitude equals g;
+- the Lyapunov equation is solved by Bartels-Stewart: one `ztrsyl`
+  call on T, then the change of basis back.
+
+The Riccati solver is the classical invariant-subspace construction: a
+Schur factorization of the 4n x 4n matrix [[A, R], [-Q, -A^dagger]],
+ordered stable-first, selects the stable subspace [U; V], and
+P = V U^{-1} is the stabilizing solution of
+A^dagger P + P A + P R P + Q = 0.
 """
 
+import math
+
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import InfeasibleError, NumericError, PreconditionError
 
 __all__ = [
     "hermitian_part",
+    "schur",
     "spectral_abscissa",
     "lyap",
     "riccati_stabilizing",
@@ -37,33 +53,90 @@ LEVEL_SET_MAX_ITER = 100
 POLE_RTOL = 1e-13
 # relative residual allowed for a Riccati solve, scaled by max(1, |A|_max)
 RICCATI_RTOL = 1e-8
+# largest condition number of the stable-subspace block U that is inverted
+RICCATI_COND_MAX = 1e12
 
 
 def hermitian_part(x):
     return 0.5 * (x + x.conj().T)
 
 
+def _require_finite(x, what):
+    if not np.isfinite(x).all():
+        raise NumericError(f"{what} has a non-finite entry")
+
+
+def _lhp(lam):
+    return lam.real < 0.0
+
+
+def schur(a, stable_first=False):
+    """Complex Schur form a = U T U^dagger as (T, U, sdim).
+
+    One direct `zgees` call.  With stable_first the eigenvalues with
+    negative real part lead the diagonal of T, and sdim counts them; the
+    leading sdim columns of U then span the stable invariant subspace.
+    Without it sdim is 0.  Raises NumericError on a non-finite entry or
+    a nonzero LAPACK `info`.
+    """
+    a = np.asarray(a, dtype=complex)
+    _require_finite(a, "Schur factorization failed: matrix")
+    t, sdim, _, u, _, info = lapack.zgees(_lhp, a, sort_t=int(stable_first))
+    if info != 0:
+        raise NumericError(f"Schur factorization failed: LAPACK zgees info {info}")
+    return t, u, sdim
+
+
+def _factored(a, tu):
+    """(T, U) of a: the given factorization, or a fresh one."""
+    if tu is not None:
+        return tu
+    t, u, _ = schur(a)
+    return t, u
+
+
 def spectral_abscissa(a):
-    try:
-        eigs = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    return float(eigs.real.max())
+    """Largest real part of the eigenvalues of a, from its Schur diagonal."""
+    return float(schur(a)[0].diagonal().real.max())
 
 
-def lyap(a, q, rtol=1e-10):
+def lyap(a, q, rtol=1e-10, schur=None):
     """Solve a X + X a^dagger + q = 0 and verify the residual.
 
-    The residual check is entrywise, relative to |q|_max.
+    Bartels-Stewart on the Schur form a = U T U^dagger (passed as
+    schur=(T, U), or computed here): one `ztrsyl` call solves
+    T Y + Y T^dagger = -U^dagger q U, and X = U Y U^dagger.  The residual
+    check is entrywise, relative to |q|_max.
     """
-    x = sla.solve_continuous_lyapunov(a, -np.asarray(q, dtype=complex))
-    scale = max(float(np.abs(q).max()), 1e-300)
+    a = np.asarray(a, dtype=complex)
+    q = np.asarray(q, dtype=complex)
+    _require_finite(q, "Lyapunov right-hand side")
+    t, u = _factored(a, schur)
+    y, scale, info = lapack.ztrsyl(t, t, -(u.conj().T @ q @ u), tranb="C")
+    if info < 0:
+        raise NumericError(f"Lyapunov solve failed: LAPACK ztrsyl info {info}")
+    x = (u @ y @ u.conj().T) / scale
+    bound = max(float(np.abs(q).max()), 1e-300)
     res = float(np.abs(a @ x + x @ a.conj().T + q).max())
-    if res > rtol * scale:
+    if not res <= rtol * bound:
         raise NumericError(
             f"Lyapunov solve residual {res:.3e} exceeds {rtol:.0e} x |Q|_max; "
             "the drift is likely too close to instability")
     return x
+
+
+def _cond_inv(m):
+    """(2-norm condition number of m, inverse of m) from one SVD.
+
+    The inverse is None when m is exactly singular.
+    """
+    try:
+        w, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular value decomposition failed: {exc}") from exc
+    if not s[-1] > 0.0:
+        return math.inf, None
+    return float(s[0] / s[-1]), (vh.conj().T / s) @ w.conj().T
 
 
 def riccati_stabilizing(a, r, q):
@@ -75,36 +148,33 @@ def riccati_stabilizing(a, r, q):
     how an infeasible shift manifests.
     """
     n = a.shape[0]
-    z = np.block([[a, r], [-q, -a.conj().T]])
-    try:
-        _, vecs, sdim = sla.schur(z, output="complex", sort="lhp")
-    except Exception as exc:  # scipy raises LinAlgError or SqrtmError-likes
-        raise NumericError(f"Schur factorization failed: {exc}") from exc
+    z = np.empty((2 * n, 2 * n), dtype=complex)
+    z[:n, :n] = a
+    z[:n, n:] = r
+    np.negative(q, out=z[n:, :n])
+    np.negative(a.conj().T, out=z[n:, n:])
+    _, vecs, sdim = schur(z, stable_first=True)
     if sdim != n:
         raise InfeasibleError(
             f"no stabilizing solution: stable subspace has dimension {sdim}, expected {n}")
-    u = vecs[:n, :n]
-    v = vecs[n:, :n]
-    if np.linalg.cond(u) > 1e12:
+    cond, u_inv = _cond_inv(vecs[:n, :n])
+    if not cond <= RICCATI_COND_MAX:
         raise InfeasibleError("stable subspace is numerically singular; no stabilizing solution")
-    p = hermitian_part(v @ np.linalg.inv(u))
+    p = hermitian_part(vecs[n:, :n] @ u_inv)
     residual = float(np.abs(a.conj().T @ p + p @ a + p @ r @ p + q).max())
     if residual > RICCATI_RTOL * max(1.0, float(np.abs(a).max())):
         raise NumericError(f"Riccati residual {residual:.3e} exceeds tolerance")
     return p, residual
 
 
-def _schur_siso(a, b, c):
-    """(T, U^dagger b, c U) from the complex Schur form A = U T U^dagger."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    try:
-        t, u = sla.schur(a, output="complex")
-    except Exception as exc:  # LinAlgError, or ValueError on a non-finite entry
-        raise NumericError(f"Schur factorization failed: {exc}") from exc
-    bt = u.conj().T @ np.asarray(b, dtype=complex).reshape(n)
-    ct = np.asarray(c, dtype=complex).reshape(n) @ u
-    return t, bt, ct
+def _project(u, b, c):
+    """(U^dagger b, c U): the SISO maps in the Schur basis U."""
+    n = u.shape[0]
+    b = np.asarray(b, dtype=complex).reshape(n)
+    c = np.asarray(c, dtype=complex).reshape(n)
+    _require_finite(b, "input map")
+    _require_finite(c, "output map")
+    return u.conj().T @ b, c @ u
 
 
 def _eval_schur(t, bt, ct, omegas):
@@ -134,11 +204,12 @@ def transfer_scalar(a, b, c, omegas):
     when i w lies within POLE_RTOL x max(|w|, max |lambda|) of an
     eigenvalue lambda of A.
     """
-    return _eval_schur(*_schur_siso(a, b, c), omegas)
+    t, u, _ = schur(a)
+    return _eval_schur(t, *_project(u, b, c), omegas)
 
 
 # The name predates the level-set method; perfbench/spans.py wraps it by name.
-def hinf_bisect(a, b, c, rel_tol=1e-9):
+def hinf_bisect(a, b, c, rel_tol=1e-9, schur=None):
     """Supremum over frequency of |C (iw I - A)^{-1} B|, A Hurwitz.
 
     Level-set iteration (Bruinsma & Steinbuch 1990; Boyd & Balakrishnan
@@ -155,9 +226,11 @@ def hinf_bisect(a, b, c, rel_tol=1e-9):
     the bound no longer grows by rel_tol, and returns
     (1 + rel_tol) x bound: within rel_tol of a response value actually
     attained.  Convergence is quadratic; a handful of 2n x 2n
-    eigensolves is typical.
+    eigensolves is typical.  schur=(T, U) supplies the factorization of
+    A when the caller already has it.
     """
-    t, bt, ct = _schur_siso(a, b, c)
+    t, u = _factored(a, schur)
+    bt, ct = _project(u, b, c)
     n = t.shape[0]
     poles = t.diagonal()
     if not float(poles.real.max()) < 0.0:

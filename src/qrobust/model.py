@@ -110,13 +110,21 @@ def _worst_entry(delta):
 
 
 def _conj_sym_residual(x):
-    """Max-entry magnitude of Sigma_rows . X^# . Sigma_cols - X (rectangular ok)."""
+    """Sigma_rows . X^# . Sigma_cols - X (rectangular ok).
+
+    Multiplying by Sigma swaps the two halves of the rows (on the left)
+    or of the columns (on the right), so the product is four block copies.
+    """
     rows, cols = x.shape
     if rows % 2 or cols % 2:
         raise DimensionError(f"doubled-up matrix must have even dimensions, got {rows}x{cols}")
-    sr = constants(rows // 2).Sigma
-    sc = constants(cols // 2).Sigma
-    return sr @ x.conj() @ sc - x
+    h, w = rows // 2, cols // 2
+    y = np.empty_like(x)
+    y[:h, :w] = x[h:, w:]
+    y[:h, w:] = x[h:, :w]
+    y[h:, :w] = x[:h, w:]
+    y[h:, w:] = x[:h, :w]
+    return np.conjugate(y, out=y) - x
 
 
 def structure_residual(x, n):

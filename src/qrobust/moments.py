@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import lyap, spectral_abscissa
+from ._linalg import lyap, schur, spectral_abscissa
 from .errors import DimensionError, ModelError, PreconditionError
 from .model import constants
 from .smallgain import compute_F
@@ -109,35 +109,27 @@ def build_closed_loop(model, g):
             f"bilinear coupling needs exactly one uncertainty mode, model has n_b={model.n_b}")
     g = complex(g)
     na, nb = model.n_a, model.n_b
-    ca, cb = constants(na), constants(nb)
-    e = np.asarray(model.E_tilde, dtype=complex).reshape(1, -1)
+    na2, dim = 2 * na, 2 * (na + nb)
+    ma, mb = model.N_a.shape[0] // 2, model.N_b.shape[0] // 2
+    e = np.asarray(model.E_tilde, dtype=complex).reshape(-1)
 
-    m_ba = np.vstack([1j * g * e, -1j * g.conjugate() * e.conj() @ ca.Sigma])
-    m_full = np.block([
-        [model.M, m_ba.conj().T],
-        [m_ba, np.zeros((2 * nb, 2 * nb))],
-    ])
-    j_full = np.block([
-        [ca.J, np.zeros((2 * na, 2 * nb))],
-        [np.zeros((2 * nb, 2 * na)), cb.J],
-    ])
+    m_full = np.zeros((dim, dim), dtype=complex)
+    m_full[:na2, :na2] = model.M
+    m_full[na2, :na2] = 1j * g * e
+    m_full[na2 + 1, :na2] = -1j * g.conjugate() * np.concatenate([e[na:], e[:na]]).conj()
+    m_full[:na2, na2:] = m_full[na2:, :na2].conj().T
+    n_full = np.zeros((2 * (ma + mb), dim), dtype=complex)
+    n_full[:2 * ma, :na2] = model.N_a
+    n_full[2 * ma:, na2:] = model.N_b
+    # the commutation matrices J of the state and of the noise are diagonal
+    # +-1, and the vacuum covariance is diagonal 1/0, per sector
+    j_state = np.repeat([1.0, -1.0, 1.0, -1.0], [na, na, nb, nb])
+    j_noise = np.repeat([1.0, -1.0, 1.0, -1.0], [ma, ma, mb, mb])
+    vacuum = np.repeat([1.0, 0.0, 1.0, 0.0], [ma, ma, mb, mb])
 
-    ma2, mb2 = model.N_a.shape[0], model.N_b.shape[0]
-    n_full = np.block([
-        [model.N_a, np.zeros((ma2, 2 * nb))],
-        [np.zeros((mb2, 2 * na)), model.N_b],
-    ])
-    j_noise = np.block([
-        [constants(ma2 // 2).J, np.zeros((ma2, mb2))],
-        [np.zeros((mb2, ma2)), constants(mb2 // 2).J],
-    ])
-
-    a_cl = -1j * j_full @ m_full - 0.5 * j_full @ n_full.conj().T @ j_noise @ n_full
-    k = -j_full @ n_full.conj().T @ j_noise
-    cov = np.zeros((ma2 + mb2, ma2 + mb2))
-    cov[:ma2 // 2, :ma2 // 2] = np.eye(ma2 // 2)
-    cov[ma2:ma2 + mb2 // 2, ma2:ma2 + mb2 // 2] = np.eye(mb2 // 2)
-    d = k @ cov @ k.conj().T
+    k = -(j_state[:, None] * n_full.conj().T) * j_noise  # -J N^dagger J per sector
+    a_cl = -1j * (j_state[:, None] * m_full) + 0.5 * (k @ n_full)
+    d = (k * vacuum) @ k.conj().T
     return ClosedLoopSystem(A_cl=a_cl, D=0.5 * (d + d.conj().T), n_a=na, n_b=nb)
 
 
@@ -152,11 +144,16 @@ def _plant_diagonal_sum(x, n_a):
 
 
 def steady_state_moments(sys):
-    """Steady X from A_cl X + X A_cl^dagger + D = 0; needs a Hurwitz loop."""
-    if spectral_abscissa(sys.A_cl) >= 0:
+    """Steady X from A_cl X + X A_cl^dagger + D = 0; needs a Hurwitz loop.
+
+    A_cl is factored once, for the Hurwitz test (diag T) and the
+    Lyapunov solve.
+    """
+    t, u, _ = schur(sys.A_cl)
+    if not float(t.diagonal().real.max()) < 0.0:
         raise PreconditionError(
             "closed loop is not Hurwitz: second moments diverge (mean-square unstable)")
-    x = lyap(sys.A_cl, sys.D)
+    x = lyap(sys.A_cl, sys.D, schur=(t, u))
     x = 0.5 * (x + x.conj().T)
     return SecondMomentState(X=x, ms_value=_plant_diagonal_sum(x, sys.n_a))
 

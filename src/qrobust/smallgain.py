@@ -57,7 +57,7 @@ import numpy as np
 
 # lyap is unused here, but perfbench/spans.py wraps smallgain.lyap by name
 from ._linalg import (hermitian_part, hinf_bisect, lyap, riccati_stabilizing,  # noqa: F401
-                      spectral_abscissa, transfer_scalar)
+                      schur, spectral_abscissa, transfer_scalar)
 from .errors import (DimensionError, InfeasibleError, NumericError,
                      PreconditionError)
 from .model import constants
@@ -169,12 +169,13 @@ def freq_response(plant, omega):
     return complex(transfer_scalar(plant.F, plant.B, plant.C, [float(omega)])[0])
 
 
-def hinf_norm(plant, rel_tol=1e-9):
+def hinf_norm(plant, rel_tol=1e-9, schur=None):
     """||H||_inf by the Hamiltonian level-set method, within rel_tol.
 
-    Raises PreconditionError when the drift is not Hurwitz.
+    schur=(T, U) passes on a Schur factorization of the drift already
+    computed.  Raises PreconditionError when the drift is not Hurwitz.
     """
-    return hinf_bisect(plant.F, plant.B, plant.C, rel_tol=rel_tol)
+    return hinf_bisect(plant.F, plant.B, plant.C, rel_tol=rel_tol, schur=schur)
 
 
 def _inv_gamma_sq(gamma):
@@ -478,20 +479,23 @@ def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0, *,
 
     gamma = +inf means no gain constraint: the 1/gamma^2 term is exactly
     zero and the margin test passes vacuously.  Failure paths still
-    report whatever was computable up to that stage.
+    report whatever was computable up to that stage.  One Schur
+    factorization of the drift serves the Hurwitz test and the H-infinity
+    step; the slack is the certificate's verified -qmi_max_eig.
     """
     _inv_gamma_sq(gamma)  # validates gamma > 0
     if delta1 < 0 or delta2 < 0:
         raise PreconditionError("constraint offsets must be nonnegative")
     plant = compute_F(model)
-    hur, abscissa = is_hurwitz(plant.F, margin_tol)
-    if not hur:
+    t, u, _ = schur(plant.F)
+    abscissa = float(t.diagonal().real.max())
+    if not abscissa < -margin_tol:
         return CertificationReport(
             verdict="not-hurwitz", hurwitz=False, spectral_abscissa=abscissa,
             hinf=None, gamma=gamma, margin=None, delta1=delta1, delta2=delta2,
             P=None, comm_constant=None, noise_trace=None, qmi_slack=None,
             ms_bound=None)
-    hinf = hinf_norm(plant, rel_tol=hinf_rel_tol)
+    hinf = hinf_norm(plant, rel_tol=hinf_rel_tol, schur=(t, u))
     margin = gamma / 2.0 - hinf
     if not (hinf < gamma / 2.0):
         return CertificationReport(
@@ -502,7 +506,7 @@ def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0, *,
     cert = _qmi_search(plant, gamma)
     mu = comm_constant(cert.P, model.E_tilde)
     lam = noise_trace(cert.P, model.N_a)
-    slack = qmi_slack(plant, gamma, cert)
+    slack = -cert.qmi_max_eig
     bound = ms_bound(lam, mu, slack, delta1, delta2)
     return CertificationReport(
         verdict="certified", hurwitz=True, spectral_abscissa=abscissa,

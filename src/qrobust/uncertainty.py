@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._json import dumps, matrix_from_lists, matrix_to_lists
-from ._linalg import hinf_bisect, lyap, spectral_abscissa
+from ._linalg import hinf_bisect, lyap, schur
 from .errors import DimensionError, ModelError, NumericError, PreconditionError
 
 __all__ = [
@@ -83,9 +83,12 @@ def _validate(u):
 _NOT_HURWITZ = "uncertainty drift A_u is not Hurwitz; sector parameters are undefined"
 
 
-def _require_hurwitz(a):
-    if spectral_abscissa(a) >= 0:
+def _hurwitz_schur(a):
+    """Schur factorization (T, U) of a Hurwitz A_u; the test reads diag T."""
+    t, u, _ = schur(a)
+    if not float(t.diagonal().real.max()) < 0.0:
         raise PreconditionError(_NOT_HURWITZ)
+    return t, u
 
 
 def from_bilinear_coupling(g, kappa_b):
@@ -105,16 +108,13 @@ def from_bilinear_coupling(g, kappa_b):
         noise_cov=np.array([[kappa_b]], dtype=complex))
 
 
-def _gain(a, b, c, rel_tol):
-    try:
-        norm = hinf_bisect(a, b, c, rel_tol=rel_tol)  # tests A_u for Hurwitz itself
-    except PreconditionError as exc:
-        raise PreconditionError(_NOT_HURWITZ) from exc
+def _gain(a, b, c, rel_tol, tu):
+    norm = hinf_bisect(a, b, c, rel_tol=rel_tol, schur=tu)
     return math.inf if norm == 0.0 else 1.0 / norm
 
 
-def _delta1(a, c, w):
-    x = lyap(a, w)
+def _delta1(a, c, w, tu):
+    x = lyap(a, w, schur=tu)
     scale = max(float(np.abs(x).max()), 1e-300)
     if float(np.abs(x - x.conj().T).max()) > 1e-10 * scale:
         raise NumericError("steady-state covariance is not Hermitian")
@@ -135,7 +135,7 @@ def gain_gamma(u, rel_tol=1e-9):
     not Hurwitz.
     """
     a, b, c, _ = _validate(u)
-    return _gain(a, b, c, rel_tol)
+    return _gain(a, b, c, rel_tol, _hurwitz_schur(a))
 
 
 def steady_state_delta1(u):
@@ -145,19 +145,20 @@ def steady_state_delta1(u):
     Hermitian PSD for a Hurwitz drift.
     """
     a, _, c, w = _validate(u)
-    _require_hurwitz(a)
-    return _delta1(a, c, w)
+    return _delta1(a, c, w, _hurwitz_schur(a))
 
 
 def qsiqc_params(u, rel_tol=1e-9):
     """(gamma, delta1, delta2) for the two sector constraints.
 
-    The block is validated, and A_u tested for Hurwitz, once.  delta2 =
-    0: a bilinear coupling has identically zero curvature output, so its
-    constraint holds with zero budget.
+    The block is validated, and A_u factored and tested for Hurwitz,
+    once; the H-infinity norm and the Lyapunov solve share that Schur
+    factorization.  delta2 = 0: a bilinear coupling has identically zero
+    curvature output, so its constraint holds with zero budget.
     """
     a, b, c, w = _validate(u)
-    return _gain(a, b, c, rel_tol), _delta1(a, c, w), 0.0
+    tu = _hurwitz_schur(a)
+    return _gain(a, b, c, rel_tol, tu), _delta1(a, c, w, tu), 0.0
 
 
 _UNC_FIELDS = ("A_u", "B_u", "C_u", "NoiseCov")

@@ -1,5 +1,7 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -230,3 +232,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py traces the program by rebinding these attributes,
+    # so each must exist after a plain import
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "spans.py")
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    assert targets
+    for modname, attr, _ in targets:
+        assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)

@@ -1,12 +1,15 @@
-"""Schur-based frequency evaluator and the level-set H-infinity norm."""
+"""Schur factorization, Lyapunov and Riccati solves, the frequency
+evaluator and the level-set H-infinity norm."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from qrobust._linalg import hinf_bisect, transfer_scalar
-from qrobust.errors import NumericError, PreconditionError
+from qrobust._linalg import (RICCATI_COND_MAX, _cond_inv, hinf_bisect, lyap,
+                             riccati_stabilizing, schur, transfer_scalar)
+from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.fockcheck import random_hermitian_structured
 from qrobust.model import constants, validate_model
 from qrobust.smallgain import compute_F, freq_response
@@ -56,14 +59,18 @@ def test_hinf_zero_channel_and_precondition():
         hinf_bisect(np.diag([-1.0, 1e-3]), np.ones((2, 1)), np.ones((1, 2)))
 
 
-def test_transfer_scalar_defective_drift_matches_adjugate():
-    # detuning equal to squeezing: F = -kappa/2 I + N with N nilpotent, a
-    # Jordan block on which an eigenvector basis is ill-conditioned
-    kappa, delta = 1.0, 0.3
+def defective_plant(kappa=1.0, delta=0.3):
+    """Detuning equal to squeezing: F = -kappa/2 I + N with N nilpotent, a
+    Jordan block on which an eigenvector basis is ill-conditioned."""
     m = np.array([[delta, -delta], [-delta, delta]], dtype=complex)
     e = np.array([[0.7 - 0.2j, -0.4 + 0.9j]])
-    plant = compute_F(validate_model(m, math.sqrt(kappa) * np.eye(2),
-                                     math.sqrt(2.0) * np.eye(2), e))
+    return compute_F(validate_model(m, math.sqrt(kappa) * np.eye(2),
+                                    math.sqrt(2.0) * np.eye(2), e))
+
+
+def test_transfer_scalar_defective_drift_matches_adjugate():
+    kappa, delta = 1.0, 0.3
+    plant = defective_plant(kappa, delta)
     f = plant.F
     assert np.allclose(f, [[-kappa / 2 - 1j * delta, 1j * delta],
                            [-1j * delta, -kappa / 2 + 1j * delta]], rtol=0, atol=1e-15)
@@ -84,3 +91,113 @@ def test_transfer_scalar_rejects_pole_on_axis():
     with pytest.raises(NumericError, match="pole"):
         transfer_scalar(a, b, c, [0.0, 2.0])
     assert np.isfinite(transfer_scalar(a, b, c, [0.0, 2.5])).all()
+
+
+def random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.linalg.qr(z)[0]
+
+
+def hurwitz_drift(rng, n):
+    """Complex drift with abscissa at most -1/2 and non-normal part of order one."""
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
+    shift = float(np.linalg.eigvals(z).real.max()) + rng.uniform(0.5, 2.0)
+    return z - shift * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_lyap_matches_scipy(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        a = hurwitz_drift(rng, n)
+        w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q = w @ w.conj().T
+        ref = sla.solve_continuous_lyapunov(a, -q)
+        got = lyap(a, q)
+        assert float(np.abs(got - ref).max()) <= 1e-12 * float(np.abs(ref).max())
+        t, u, _ = schur(a)
+        assert np.array_equal(lyap(a, q, schur=(t, u)), got)
+
+
+def test_lyap_defective_drift_matches_scipy():
+    f = defective_plant().F
+    q = np.array([[2.0, 0.5 - 1j], [0.5 + 1j, 1.0]])
+    ref = sla.solve_continuous_lyapunov(f, -q)
+    assert float(np.abs(lyap(f, q) - ref).max()) <= 1e-12 * float(np.abs(ref).max())
+
+
+def test_lyap_residual_check_rejects_marginal_drift():
+    # abscissa -1e-14 in a rotated basis: X grows like 1e14 and the
+    # residual of the computed solution is far above 1e-10 |Q|_max
+    u = random_unitary(np.random.default_rng(3), 2)
+    a = u @ np.diag([-1e-14, -1.0]) @ u.conj().T
+    with pytest.raises(NumericError, match="residual"):
+        lyap(a, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entries_raise_numeric_error(bad):
+    a = np.array([[-1.0, 2.0], [0.0, -3.0]], dtype=complex)
+    a_bad = a.copy()
+    a_bad[0, 1] = bad
+    b, c = np.ones((2, 1)), np.ones((1, 2))
+    for call in (lambda: schur(a_bad), lambda: schur(a_bad, stable_first=True),
+                 lambda: hinf_bisect(a_bad, b, c), lambda: lyap(a_bad, np.eye(2)),
+                 lambda: transfer_scalar(a_bad, b, c, [0.0, 1.0]),
+                 lambda: riccati_stabilizing(a_bad, np.eye(2), np.eye(2)),
+                 lambda: lyap(a, np.diag([1.0, bad])),
+                 lambda: hinf_bisect(a, np.array([[1.0], [bad]]), c),
+                 lambda: transfer_scalar(a, b, np.array([[bad, 1.0]]), [0.0])):
+        with pytest.raises(NumericError):
+            call()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sorted_schur_matches_scipy_stable_subspace(n):
+    # 4n x 4n Hamiltonians [[A, R], [-Q, -A^dagger]] as the Riccati solve
+    # builds them, with R <= 0 and Q > 0 so that no eigenvalue is imaginary
+    rng = np.random.default_rng(200 + n)
+    a = hurwitz_drift(rng, 2 * n) + 0.3j * np.eye(2 * n)
+    b = rng.normal(size=(2 * n, 1)) + 1j * rng.normal(size=(2 * n, 1))
+    c = rng.normal(size=(1, 2 * n)) + 1j * rng.normal(size=(1, 2 * n))
+    z = np.block([[a, -(b @ b.conj().T)], [-(c.conj().T @ c) - np.eye(2 * n), -a.conj().T]])
+    t, u, sdim = schur(z, stable_first=True)
+    t_ref, u_ref, sdim_ref = sla.schur(z, output="complex", sort="lhp")
+    assert sdim == sdim_ref == 2 * n
+    assert float(np.abs(u @ t @ u.conj().T - z).max()) <= 1e-12 * float(np.abs(z).max())
+    stable, stable_ref = u[:, :sdim], u_ref[:, :sdim]
+    proj = stable @ stable.conj().T - stable_ref @ stable_ref.conj().T
+    assert float(np.abs(proj).max()) <= 1e-12
+
+
+def test_cond_inv_matches_numpy():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4, 8):
+        for decades in (0, 3, 6, 10):
+            sv = np.geomspace(1.0, 10.0 ** -decades, n)
+            m = random_unitary(rng, n) @ np.diag(sv) @ random_unitary(rng, n)
+            cond, inv = _cond_inv(m)
+            ref = float(np.linalg.cond(m))
+            assert abs(cond - ref) <= 1e-12 * ref
+            assert float(np.abs(inv @ m - np.eye(n)).max()) <= 1e-15 * cond * n
+    assert _cond_inv(np.zeros((2, 2))) == (math.inf, None)
+
+
+def test_riccati_rejects_ill_conditioned_stable_subspace():
+    # R = 0, A = diag(-1, -2), Q = diag(q1, 1): P = diag(q1 / 2, 1 / 4), and
+    # the stable-subspace block U = (I + P^2)^(-1/2) up to a unitary factor
+    # has condition number about 0.485 q1
+    a = np.diag([-1.0, -2.0]).astype(complex)
+    r = np.zeros((2, 2))
+    for q1, feasible in ((1e12, True), (1e13, False)):
+        q = np.diag([q1, 1.0]).astype(complex)
+        _, vecs, _ = schur(np.block([[a, r], [-q, -a.conj().T]]), stable_first=True)
+        cond = _cond_inv(vecs[:2, :2])[0]
+        assert abs(cond - 0.485 * q1) <= 1e-3 * q1
+        if feasible:
+            p, _ = riccati_stabilizing(a, r, q)
+            assert float(np.abs(p - np.diag([q1 / 2, 0.25])).max()) <= 1e-12 * q1
+        else:
+            assert cond > RICCATI_COND_MAX
+            with pytest.raises(InfeasibleError, match="numerically singular"):
+                riccati_stabilizing(a, r, q)

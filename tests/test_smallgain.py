@@ -3,18 +3,20 @@
 import math
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.model import constants, validate_model
-from qrobust.opa import OpaParams, build_opa_model
+from qrobust.opa import OpaParams, build_opa_model, draw_params
 from qrobust.smallgain import (COMM_FACTOR, PlantMatrices, certify,
                                comm_constant, compute_F, freq_response,
                                hinf_norm, is_hurwitz, ms_bound, noise_trace,
                                qmi_slack, solve_qmi)
 from qrobust.uncertainty import qsiqc_params
+from test_acceptance import draw_stable_plant
 
 FLAGSHIP = OpaParams(chi=0.1, kappa_a=2.0, kappa_b=4.0, abar=1.0, bbar=1.0)
 
@@ -231,6 +233,52 @@ def test_certify_rejects_bad_offsets():
         certify(model, 50.0, -0.1, 0.0)
     with pytest.raises(PreconditionError):
         certify(model, -1.0)
+
+
+def certify_against_stages(model, gamma, delta1, delta2):
+    """certify() next to its stages run one by one through the public
+    functions; returns (verdict, route)."""
+    rep = certify(model, gamma, delta1, delta2)
+    plant = compute_F(model)
+    hur, abscissa = is_hurwitz(plant.F)
+    assert abs(rep.spectral_abscissa - abscissa) <= 1e-12 * float(np.linalg.norm(plant.F, 2))
+    assert rep.hurwitz == hur
+    if not hur:
+        assert rep.verdict == "not-hurwitz"
+        return rep.verdict, None
+    hinf = hinf_norm(plant)
+    assert abs(rep.hinf - hinf) <= 1e-12 * hinf
+    if not hinf < gamma / 2.0:
+        assert rep.verdict == "gain-violated"
+        return rep.verdict, None
+    assert rep.verdict == "certified"
+    slack = qmi_slack(plant, gamma, rep.P.P)
+    assert abs(rep.qmi_slack - slack) <= 1e-12 * slack
+    return rep.verdict, rep.P.route
+
+
+def test_certify_matches_its_stages():
+    # the verdict and route counts of both draw sets are frozen: how certify()
+    # factors the drift must not move any draw to another verdict or route
+    rng = np.random.default_rng(11)  # criterion 5's draws
+    outcomes = []
+    for k in range(100):
+        model, plant, _ = draw_stable_plant(rng)
+        gamma = math.inf if k % 2 == 0 else 3.0 * hinf_norm(plant)
+        outcomes.append(certify_against_stages(model, gamma, 0.3, 0.1))
+    assert Counter(outcomes) == {("certified", "shifted-are"): 73,
+                                 ("certified", "eig-opt"): 18,
+                                 ("certified", "two-channel-are"): 9}
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for _ in range(200):
+        model, _, unc = build_opa_model(draw_params(rng))
+        outcomes.append(certify_against_stages(model, *qsiqc_params(unc)))
+    assert Counter(outcomes) == {("certified", "shifted-are"): 132,
+                                 ("not-hurwitz", None): 32,
+                                 ("gain-violated", None): 30,
+                                 ("certified", "two-channel-are"): 4,
+                                 ("certified", "eig-opt"): 2}
 
 
 def test_certificate_structure_across_random_certified_instances():
