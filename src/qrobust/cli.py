@@ -30,18 +30,12 @@ import numpy as np
 from ._json import dumps, format_float, matrix_to_lists
 from ._linalg import transfer_scalar
 from .errors import PreconditionError, ToolkitError
-from .fockcheck import (COMM_FACTOR_TOL, MONOMIALS, COEFF_SHAPES,
-                        arbitrate_comm_factor, check_ccr,
-                        check_double_commutator,
-                        check_generator_decomposition,
-                        check_quadratic_identities,
-                        random_hermitian_structured,
-                        random_structured_coupling)
+from .fockcheck import run_suite
 from .model import model_from_json
 from .moments import build_closed_loop, integrate_moments, \
     scalar_damping_rate, steady_state_moments
 from .opa import SWEEP_COLUMNS, OpaParams, cross_validate, sweep_rows
-from .smallgain import COMM_FACTOR, certify, compute_F
+from .smallgain import certify, compute_F
 from .uncertainty import from_bilinear_coupling, qsiqc_params, \
     uncertainty_from_json
 
@@ -254,64 +248,7 @@ def _cmd_opa(args):
 
 
 def _cmd_fockcheck(args):
-    if args.dim < 20:
-        raise PreconditionError(
-            f"identity suite needs --dim of at least 20, got {args.dim}")
-    if args.trials < 1:
-        raise PreconditionError(f"--trials must be positive, got {args.trials}")
-    rng = np.random.default_rng(args.seed)
-    rows = []
-
-    def add(name, count, worst, tol):
-        rows.append((name, count, worst, tol, worst <= tol))
-
-    add("ccr_one_mode", 1, check_ccr(1, args.dim), 1e-12)
-    add("ccr_two_mode", 1, check_ccr(2, min(args.dim, 24)), 1e-12)
-
-    worst_scalar, worst_formula = 0.0, 0.0
-    for _ in range(args.trials):
-        p = random_hermitian_structured(rng)
-        e = (rng.uniform(-1, 1, (1, 2)) + 1j * rng.uniform(-1, 1, (1, 2)))
-        scalar, formula, off_scalar = check_double_commutator(p, e, args.dim)
-        worst_scalar = max(worst_scalar, off_scalar)
-        worst_formula = max(worst_formula,
-                            abs(scalar - COMM_FACTOR * formula)
-                            / max(1.0, abs(scalar)))
-    add("double_commutator_scalar", args.trials, worst_scalar, 1e-8)
-    add("double_commutator_formula", args.trials, worst_formula, 1e-8)
-
-    worst = [0.0, 0.0, 0.0]
-    for _ in range(args.trials):
-        p = random_hermitian_structured(rng)
-        m_h = random_hermitian_structured(rng)
-        n_a = random_structured_coupling(rng)
-        res = check_quadratic_identities(p, m_h, n_a, args.dim)
-        worst = [max(w, r) for w, r in zip(worst, res)]
-    add("hamiltonian_commutator", args.trials, worst[0], 1e-8)
-    add("dissipation_term", args.trials, worst[1], 1e-8)
-    add("state_commutator", args.trials, worst[2], 1e-8)
-
-    dec_dim = min(args.dim, 20)
-    dec_trials = min(args.trials, 2)
-    worst_dec = 0.0
-    for _ in range(dec_trials):
-        p = random_hermitian_structured(rng)
-        e = (rng.uniform(-1, 1, (1, 2)) + 1j * rng.uniform(-1, 1, (1, 2)))
-        for k, l in MONOMIALS:
-            for shape in COEFF_SHAPES:
-                worst_dec = max(worst_dec, check_generator_decomposition(
-                    k, l, shape, p, e, dec_dim))
-    add("generator_decomposition",
-        dec_trials * len(MONOMIALS) * len(COEFF_SHAPES), worst_dec, 1e-7)
-
-    try:
-        factor = arbitrate_comm_factor(trials=50, n=min(args.dim, 30),
-                                       seed=args.seed)
-        deviation = abs(factor - COMM_FACTOR)
-    except ToolkitError:
-        deviation = math.inf
-    add("comm_factor_arbitration", 50, deviation, COMM_FACTOR_TOL)
-
+    rows = run_suite(args.dim, args.trials, args.seed)
     lines = [f"{'identity':<28} {'trials':>6} {'worst_residual':>24} "
              f"{'tolerance':>9} {'status':>6}"]
     for name, count, worst_res, tol, ok in rows:

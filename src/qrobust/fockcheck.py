@@ -21,19 +21,24 @@ The checks covered:
     term, and the linear commutator [x, V] = 2JPx);
   * the decomposition of [V, S z^k (z^*)^l] into gradient and curvature
     terms for every monomial with k + l <= 3 and b-sector coefficient
-    shape S in {I, b, b^dagger, b^dagger b}.
+    shape S in {I, b, b^dagger, b^dagger b}, formed on one-mode
+    matrices since plant and b-sector operators act on different factors.
 
 All residuals returned are relative (scaled by the larger of 1 and the
 magnitude of the quantities compared), so thresholds are plain numbers.
+run_suite runs every check on seeded draws and returns the pass/fail
+table that `qrobust fockcheck` prints.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ModelError, NumericError, PreconditionError
+from .errors import (DimensionError, ModelError, NumericError, PreconditionError,
+                     ToolkitError)
 from .model import constants, structure_residual
-from .smallgain import comm_constant
+from .smallgain import COMM_FACTOR, comm_constant
 
 __all__ = [
     "ModeOperators",
@@ -50,6 +55,7 @@ __all__ = [
     "random_structured_P",
     "random_structured_coupling",
     "arbitrate_comm_factor",
+    "run_suite",
 ]
 
 BOUNDARY_DROP = 4
@@ -57,7 +63,7 @@ BOUNDARY_DROP = 4
 COEFF_SHAPES = ("I", "b", "b_dag", "b_dag_b")
 # every monomial degree pair the decomposition check supports
 MONOMIALS = tuple((k, l) for k in range(4) for l in range(4) if k + l <= 3)
-MAX_TWO_MODE_DIM = 40  # keeps N^2 x N^2 products at desk scale
+MAX_TWO_MODE_DIM = 40  # largest two-mode truncation level the checks accept
 
 COMM_FACTOR_TOL = 1e-8  # spread allowed when arbitrating the constant
 
@@ -269,6 +275,10 @@ def check_generator_decomposition(k, l, shape, p, e_tilde, n=20, drop=BOUNDARY_D
     curvature signs: with the commutators placed leftmost/rightmost as
     above, the mu terms enter with these signs (the k = 2 monomial pins
     them, since [V, z^2] = 2[V,z]z - mu follows from mu = [z,[z,V]]).
+
+    Every plant operator is X (x) I and S is I (x) S_b, so both sides are
+    (one-mode matrix) (x) S_b, and their kept two-mode blocks are the
+    Kronecker products of the kept one-mode blocks.
     """
     if not isinstance(k, (int, np.integer)) or not isinstance(l, (int, np.integer)) \
             or k < 0 or l < 0:
@@ -283,37 +293,34 @@ def check_generator_decomposition(k, l, shape, p, e_tilde, n=20, drop=BOUNDARY_D
     _require_drop(n, drop, 16)
     p = _require_structured_p(p)
     e = _require_row(e_tilde)
-    ops = build_mode_ops(2, n)
-    z = e[0, 0] * ops.a + e[0, 1] * ops.a.conj().T
+    a = ladder(n)
+    z = e[0, 0] * a + e[0, 1] * a.conj().T
     zs = z.conj().T
-    v = _quad_form(p, ops.a)
+    v = _quad_form(p, a)
     s = {
-        "I": np.eye(ops.a.shape[0], dtype=complex),
-        "b": ops.b,
-        "b_dag": ops.b.conj().T,
-        "b_dag_b": ops.b.conj().T @ ops.b,
+        "I": np.eye(n, dtype=complex),
+        "b": a,
+        "b_dag": a.conj().T,
+        "b_dag_b": a.conj().T @ a,
     }[shape]
 
-    def zpow(j):
-        return np.linalg.matrix_power(z, j)
+    def zz(i, j):
+        return np.linalg.matrix_power(z, i) @ np.linalg.matrix_power(zs, j)
 
-    def zspow(j):
-        return np.linalg.matrix_power(zs, j)
-
-    f = s @ zpow(k) @ zspow(l)
-    lhs = _comm(v, f)
-
+    lhs = _comm(v, zz(k, l))
     mu = comm_constant(p, e)
     rhs = np.zeros_like(lhs)
     if k >= 1:
-        rhs = rhs + k * (s @ _comm(v, z) @ zpow(k - 1) @ zspow(l))
+        rhs = rhs + k * (_comm(v, z) @ zz(k - 1, l))
     if l >= 1:
-        rhs = rhs - l * (s @ zpow(k) @ zspow(l - 1) @ _comm(zs, v))
+        rhs = rhs - l * (zz(k, l - 1) @ _comm(zs, v))
     if k >= 2:
-        rhs = rhs - 0.5 * k * (k - 1) * mu * (s @ zpow(k - 2) @ zspow(l))
+        rhs = rhs - 0.5 * k * (k - 1) * mu * zz(k - 2, l)
     if l >= 2:
-        rhs = rhs + 0.5 * l * (l - 1) * mu.conjugate() * (s @ zpow(k) @ zspow(l - 2))
-    return _rel_residual(_subblock(lhs, n, 2, drop), _subblock(rhs, n, 2, drop))
+        rhs = rhs + 0.5 * l * (l - 1) * mu.conjugate() * zz(k, l - 2)
+    s_kept = _subblock(s, n, 1, drop)
+    return _rel_residual(np.kron(_subblock(lhs, n, 1, drop), s_kept),
+                         np.kron(_subblock(rhs, n, 1, drop), s_kept))
 
 
 def random_hermitian_structured(rng, n=1):
@@ -376,3 +383,57 @@ def arbitrate_comm_factor(trials=50, n=30, seed=0):
     if abs(mean.imag) > COMM_FACTOR_TOL:
         raise NumericError(f"double-commutator ratio is not real ({mean!r})")
     return float(mean.real)
+
+
+def run_suite(dim, trials, seed):
+    """Every check above on draws from default_rng(seed), in a fixed order.
+
+    Returns one (name, count, worst residual, tolerance, passed) row per
+    identity.  The two-mode CCR runs at min(dim, 24), the decomposition at
+    min(dim, 20) on min(trials, 2) draws, and the arbitration at min(dim, 30).
+    """
+    if dim < 20:
+        raise PreconditionError(f"identity suite needs --dim of at least 20, got {dim}")
+    if trials < 1:
+        raise PreconditionError(f"--trials must be positive, got {trials}")
+    rng = np.random.default_rng(seed)
+    rows = []
+
+    def add(name, count, worst, tol):
+        rows.append((name, count, worst, tol, worst <= tol))
+
+    def row():
+        return rng.uniform(-1, 1, (1, 2)) + 1j * rng.uniform(-1, 1, (1, 2))
+
+    add("ccr_one_mode", 1, check_ccr(1, dim), 1e-12)
+    add("ccr_two_mode", 1, check_ccr(2, min(dim, 24)), 1e-12)
+
+    doubles = [check_double_commutator(random_hermitian_structured(rng), row(), dim)
+               for _ in range(trials)]
+    add("double_commutator_scalar", trials, max(r for _, _, r in doubles), 1e-8)
+    add("double_commutator_formula", trials,
+        max(abs(scalar - COMM_FACTOR * formula) / max(1.0, abs(scalar))
+            for scalar, formula, _ in doubles), 1e-8)
+
+    quads = [check_quadratic_identities(random_hermitian_structured(rng),
+                                        random_hermitian_structured(rng),
+                                        random_structured_coupling(rng), dim)
+             for _ in range(trials)]
+    for i, name in enumerate(("hamiltonian_commutator", "dissipation_term",
+                              "state_commutator")):
+        add(name, trials, max(r[i] for r in quads), 1e-8)
+
+    decs = []
+    for _ in range(min(trials, 2)):
+        p, e = random_hermitian_structured(rng), row()
+        decs += [check_generator_decomposition(k, l, shape, p, e, min(dim, 20))
+                 for k, l in MONOMIALS for shape in COEFF_SHAPES]
+    add("generator_decomposition", len(decs), max(decs), 1e-7)
+
+    try:
+        deviation = abs(arbitrate_comm_factor(trials=50, n=min(dim, 30), seed=seed)
+                        - COMM_FACTOR)
+    except ToolkitError:
+        deviation = math.inf
+    add("comm_factor_arbitration", 50, deviation, COMM_FACTOR_TOL)
+    return rows

@@ -97,8 +97,8 @@ def _as_complex_matrix(x, name):
         x = x.reshape(1, -1)
     if x.ndim != 2:
         raise DimensionError(f"{name} must be a matrix, got {x.ndim} dimensions")
-    if not np.isfinite(x.real).all() or not np.isfinite(x.imag).all():
-        bad = np.argwhere(~(np.isfinite(x.real) & np.isfinite(x.imag)))[0]
+    if not np.isfinite(x).all():
+        bad = np.argwhere(~np.isfinite(x))[0]
         raise ModelError(f"{name} has a non-finite entry at ({bad[0]}, {bad[1]})")
     return x
 

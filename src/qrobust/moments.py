@@ -9,9 +9,9 @@ closed Lyapunov ODE
 
 in the stacked ordering xi = (a, a^#, b, b^#).  This module assembles
 A_cl and the vacuum diffusion D, solves for the steady state, and
-integrates transients, giving an empirical check of the certified
-mean-square bound: for a certified model the plant-sector trace of the
-steady state must not exceed the bound.
+propagates transients exactly on a time grid, giving an empirical check
+of the certified mean-square bound: for a certified model the
+plant-sector trace of the steady state must not exceed the bound.
 
 Certification never consumes these results; certification and moment
 propagation are independent computations that meet only in tests and in
@@ -21,6 +21,7 @@ the command-line report.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from ._linalg import lyap, schur, spectral_abscissa
 from .errors import DimensionError, ModelError, PreconditionError
@@ -170,11 +171,29 @@ def vacuum_state(sys):
     return x0
 
 
-def integrate_moments(sys, T, dt=None, x0=None):
-    """Fixed-step 4th-order integration of the moment ODE from vacuum.
+def _step_map(a, d, h):
+    """(Phi, Phi^dagger, Q_d) with X(t + h) = Phi X(t) Phi^dagger + Q_d exactly.
 
-    The default step is 0.01 / |spectral abscissa| of the loop drift.
-    Integration stops early (diverged=True) once any entry magnitude
+    Phi = e^{A h} and Q_d = int_0^h e^{A s} D e^{A^dagger s} ds come from
+    one block exponential (Van Loan, IEEE TAC 23 (1978) 395-404):
+    expm([[-A, D], [0, A^dagger]] h) = [[., G], [0, Phi^dagger]], Q_d = Phi G.
+    G carries e^{-A h}, so rounding grows like e^{h |Re lambda|} for the
+    fastest-decaying mode lambda.
+    """
+    m = a.shape[0]
+    e = expm(h * np.block([[-a, d], [np.zeros_like(a), a.conj().T]]))
+    phi = e[m:, m:].conj().T
+    q = phi @ e[:m, m:]
+    return phi, e[m:, m:], 0.5 * (q + q.conj().T)
+
+
+def integrate_moments(sys, T, dt=None, x0=None):
+    """Second moments from vacuum, propagated exactly step by step.
+
+    Each step is the exact solution X <- Phi X Phi^dagger + Q_d of the
+    moment ODE (see _step_map).  The default step is 0.01 / |spectral
+    abscissa| of the loop drift, the last one shortened to end at T.
+    Propagation stops early (diverged=True) once any entry magnitude
     exceeds 1e12, which is how an unstable loop is reported rather than
     as an exception.
     """
@@ -187,30 +206,22 @@ def integrate_moments(sys, T, dt=None, x0=None):
         dt = 0.01 / rate
     if not (0 < dt <= T):
         raise PreconditionError(f"need 0 < dt <= T, got dt={dt!r}, T={T!r}")
-    a = sys.A_cl
-    ah = a.conj().T
-
-    def deriv(x):
-        return a @ x + x @ ah + sys.D
-
     x = vacuum_state(sys) if x0 is None else np.asarray(x0, dtype=complex).copy()
     steps = int(np.ceil(T / dt))
     times = [0.0]
     values = [_plant_diagonal_sum(x, sys.n_a)]
     diverged = False
+    phi, phi_h, q = _step_map(sys.A_cl, sys.D, dt)
     for k in range(steps):
         h = min(dt, T - k * dt)
-        k1 = deriv(x)
-        k2 = deriv(x + 0.5 * h * k1)
-        k3 = deriv(x + 0.5 * h * k2)
-        k4 = deriv(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if h != dt:
+            phi, phi_h, q = _step_map(sys.A_cl, sys.D, h)
+        x = phi @ x @ phi_h + q
+        times.append(min((k + 1) * dt, T))
         if not np.isfinite(x).all() or float(np.abs(x).max()) > DIVERGENCE_LIMIT:
             diverged = True
-            times.append(min((k + 1) * dt, T))
             values.append(float("inf"))
             break
-        times.append(min((k + 1) * dt, T))
         values.append(_plant_diagonal_sum(x, sys.n_a))
     return MomentTrajectory(t=np.array(times), ms_values=np.array(values),
                             diverged=diverged, X_final=x)

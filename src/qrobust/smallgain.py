@@ -50,7 +50,6 @@ that was actually solved, and the verified inequality eigenvalue.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -443,24 +442,13 @@ def qmi_slack(plant, gamma, p):
     """Smallest eigenvalue of minus the inequality left side at P.
 
     This is the actual slack the mean-square bound divides by, measured
-    a posteriori; the construction shift only guarantees it
-    approximately, so a slack at or below the shift is flagged as a
-    warning, not an error.
+    a posteriori from the matrix P.
     """
-    eps = 0.0
-    if isinstance(p, StructuredP):
-        eps = p.eps
-        p = p.P
     lhs = _qmi_lhs(plant, gamma, np.asarray(p, dtype=complex))
     slack = float(np.linalg.eigvalsh(-lhs).min())
     if slack <= 0:
         raise NumericError(
             f"certificate is inconsistent: inequality slack {slack:.3e} is not positive")
-    if eps > 0 and slack <= eps:
-        warnings.warn(
-            f"inequality slack {slack:.3e} does not exceed the construction shift "
-            f"{eps:.3e}; the mean-square bound is valid but conservative",
-            RuntimeWarning, stacklevel=2)
     return slack
 
 
@@ -473,8 +461,7 @@ def ms_bound(noise_tr, comm_const, slack, delta1, delta2):
     return (noise_tr + 0.25 * abs(comm_const) ** 2 + delta1 + delta2) / slack
 
 
-def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0, *,
-            margin_tol=HURWITZ_MARGIN_TOL, hinf_rel_tol=1e-9):
+def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0):
     """Full certification run; every stage's numbers are recorded.
 
     gamma = +inf means no gain constraint: the 1/gamma^2 term is exactly
@@ -489,13 +476,13 @@ def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0, *,
     plant = compute_F(model)
     t, u, _ = schur(plant.F)
     abscissa = float(t.diagonal().real.max())
-    if not abscissa < -margin_tol:
+    if not abscissa < -HURWITZ_MARGIN_TOL:
         return CertificationReport(
             verdict="not-hurwitz", hurwitz=False, spectral_abscissa=abscissa,
             hinf=None, gamma=gamma, margin=None, delta1=delta1, delta2=delta2,
             P=None, comm_constant=None, noise_trace=None, qmi_slack=None,
             ms_bound=None)
-    hinf = hinf_norm(plant, rel_tol=hinf_rel_tol, schur=(t, u))
+    hinf = hinf_norm(plant, schur=(t, u))
     margin = gamma / 2.0 - hinf
     if not (hinf < gamma / 2.0):
         return CertificationReport(

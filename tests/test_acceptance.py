@@ -14,15 +14,9 @@ import pytest
 from qrobust._linalg import transfer_scalar
 from qrobust.cli import run
 from qrobust.fockcheck import (
-    COEFF_SHAPES,
-    MONOMIALS,
-    arbitrate_comm_factor,
-    check_ccr,
-    check_generator_decomposition,
-    check_quadratic_identities,
     random_hermitian_structured,
-    random_structured_P,
     random_structured_coupling,
+    run_suite,
 )
 from qrobust.model import model_to_json, validate_model
 from qrobust.moments import build_closed_loop, steady_state_moments
@@ -34,7 +28,6 @@ from qrobust.opa import (
     sweep_rows,
 )
 from qrobust.smallgain import (
-    COMM_FACTOR,
     certify,
     compute_F,
     hinf_norm,
@@ -181,33 +174,12 @@ def test_criterion_5_certificate_residuals():
 
 
 def test_criterion_6_fock_oracle_suite():
-    assert check_ccr(1, 30) <= 1e-12
-    assert check_ccr(2, 24) <= 1e-12
-
-    rng = np.random.default_rng(7)
-    worst_quad = 0.0
-    for _ in range(10):
-        p = random_structured_P(rng)
-        m_h = random_hermitian_structured(rng)
-        n_a = 1.3 * random_structured_coupling(rng)
-        worst_quad = max(worst_quad,
-                         max(check_quadratic_identities(p, m_h, n_a, 30)))
-    assert worst_quad <= 1e-8
-
-    p = random_structured_P(rng)
-    e = rng.uniform(-1.0, 1.0, (1, 2)) + 1j * rng.uniform(-1.0, 1.0, (1, 2))
-    combos = [(k, l, shape) for k, l in MONOMIALS for shape in COEFF_SHAPES]
-    assert len(combos) == 40
-    worst_dec = 0.0
-    for k, l, shape in combos:
-        worst_dec = max(worst_dec,
-                        check_generator_decomposition(k, l, shape, p, e, 20))
-    assert worst_dec <= 1e-7
-
-    factor = arbitrate_comm_factor(trials=50, n=30, seed=0)
-    assert abs(factor - COMM_FACTOR) <= 1e-8
-    print(f"criterion 6: PASS (quad {worst_quad:.3e}, decomposition "
-          f"{worst_dec:.3e}, factor {factor})")
+    rows = run_suite(30, 10, 7)
+    failed = [row for row in rows if not row[4]]
+    assert failed == []
+    ratio = max(worst / tol for _, _, worst, tol, _ in rows)
+    print(f"criterion 6: PASS ({len(rows)} identities, worst residual "
+          f"{ratio:.3e} of its tolerance)")
 
 
 def test_criterion_7_mean_square_bound():

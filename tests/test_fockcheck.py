@@ -11,8 +11,8 @@ from qrobust.fockcheck import (COEFF_SHAPES, MONOMIALS, arbitrate_comm_factor,
                                check_quadratic_identities, ladder,
                                random_hermitian_structured,
                                random_structured_P,
-                               random_structured_coupling)
-from qrobust.smallgain import COMM_FACTOR
+                               random_structured_coupling, run_suite)
+from qrobust.smallgain import COMM_FACTOR, comm_constant
 
 
 def test_ladder_matrix_elements():
@@ -107,6 +107,52 @@ def test_generator_decomposition_all_monomials():
             assert check_generator_decomposition(k, l, shape, p, e, 16) <= 1e-7
 
 
+def dense_decomposition_residual(k, l, shape, p, e, n, drop=4):
+    """The decomposition identity formed on dense N^2 x N^2 two-mode operators."""
+    ops = build_mode_ops(2, n)
+    a, b = ops.a, ops.b
+    z = e[0, 0] * a + e[0, 1] * a.conj().T
+    zs = z.conj().T
+    xs = (a, a.conj().T)
+    v = sum(p[i, j] * (xs[i].conj().T @ xs[j]) for i in range(2) for j in range(2))
+    s = {"I": np.eye(n * n), "b": b, "b_dag": b.conj().T,
+         "b_dag_b": b.conj().T @ b}[shape]
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    def zk(j, i):
+        return np.linalg.matrix_power(z, j) @ np.linalg.matrix_power(zs, i)
+
+    mu = comm_constant(p, e)
+    lhs = comm(v, s @ zk(k, l))
+    rhs = np.zeros_like(lhs)
+    if k >= 1:
+        rhs += k * (s @ comm(v, z) @ zk(k - 1, l))
+    if l >= 1:
+        rhs -= l * (s @ zk(k, l - 1) @ comm(zs, v))
+    if k >= 2:
+        rhs -= 0.5 * k * (k - 1) * mu * (s @ zk(k - 2, l))
+    if l >= 2:
+        rhs += 0.5 * l * (l - 1) * mu.conjugate() * (s @ zk(k, l - 2))
+    keep = n - drop
+    idx = (np.arange(keep)[:, None] * n + np.arange(keep)[None, :]).ravel()
+    lhs, rhs = lhs[np.ix_(idx, idx)], rhs[np.ix_(idx, idx)]
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max()) / scale
+
+
+def test_generator_decomposition_matches_dense_two_mode_reference():
+    rng = np.random.default_rng(9)
+    p = random_hermitian_structured(rng)
+    e = rng.uniform(-1, 1, (1, 2)) + 1j * rng.uniform(-1, 1, (1, 2))
+    for k, l in ((2, 1), (1, 2)):
+        for shape in COEFF_SHAPES:
+            dense = dense_decomposition_residual(k, l, shape, p, e, 16)
+            one_mode = check_generator_decomposition(k, l, shape, p, e, 16)
+            assert abs(one_mode - dense) <= 1e-13
+
+
 def test_generator_decomposition_degree_zero_is_exact():
     rng = np.random.default_rng(8)
     p = random_hermitian_structured(rng)
@@ -148,3 +194,36 @@ def test_random_structured_p_is_positive_and_structured():
 def test_arbitrated_factor_matches_repo_constant():
     value = arbitrate_comm_factor(trials=50, n=30, seed=0)
     assert abs(value - COMM_FACTOR) <= 1e-8
+
+
+# `qrobust fockcheck --dim 20 --trials 1 --seed 3` as printed when every
+# check still ran on dense two-mode operators: (name, count, worst, tol)
+CLI_ROWS_20_1_3 = [
+    ("ccr_one_mode", 1, 1.7763568394002473e-15, 1e-12),
+    ("ccr_two_mode", 1, 1.7763568394002473e-15, 1e-12),
+    ("double_commutator_scalar", 1, 4.5550869748145516e-14, 1e-08),
+    ("double_commutator_formula", 1, 1.2348325990174009e-15, 1e-08),
+    ("hamiltonian_commutator", 1, 1.3749757672812975e-15, 1e-08),
+    ("dissipation_term", 1, 1.0174499106594104e-14, 1e-08),
+    ("state_commutator", 1, 2.3218410921734436e-15, 1e-08),
+    ("generator_decomposition", 40, 8.7719645726832424e-15, 1e-07),
+    ("comm_factor_arbitration", 50, 4.4408920985006262e-16, 1e-08),
+]
+
+
+def test_run_suite_reproduces_the_cli_table():
+    rows = run_suite(20, 1, 3)
+    assert [r[:2] + r[3:] for r in rows] == [
+        (name, count, tol, True) for name, count, _, tol in CLI_ROWS_20_1_3]
+    for (name, _, worst, _, _), (_, _, expected, _) in zip(rows, CLI_ROWS_20_1_3):
+        if name == "generator_decomposition":
+            assert abs(worst - expected) <= 1e-14
+        else:
+            assert worst == expected, name
+
+
+def test_run_suite_validates_its_arguments():
+    with pytest.raises(PreconditionError, match="at least 20"):
+        run_suite(19, 1, 0)
+    with pytest.raises(PreconditionError, match="positive"):
+        run_suite(20, 0, 0)

@@ -88,6 +88,16 @@ def test_validate_model_rejects_wrong_output_row():
         validate_model(m, n_a, n_b, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1j * np.inf, -np.inf + 0j])
+def test_validate_model_names_the_first_non_finite_entry(bad):
+    m, n_a, n_b, e = opa_matrices()
+    n_a = n_a.astype(complex)
+    n_a[1, 0] = bad
+    n_a[1, 1] = bad
+    with pytest.raises(ModelError, match=r"N_a has a non-finite entry at \(1, 0\)"):
+        validate_model(m, n_a, n_b, e)
+
+
 def test_json_round_trip_is_exact():
     model = validate_model(*opa_matrices(chi=0.37, kappa_a=1.7, bbar=0.3 - 0.8j))
     text = model_to_json(model)

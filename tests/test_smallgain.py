@@ -172,14 +172,6 @@ def test_qmi_slack_rejects_indefinite():
         qmi_slack(plant, math.inf, np.eye(2, dtype=complex))
 
 
-def test_qmi_slack_warns_when_slack_near_shift():
-    plant = flagship_plant()
-    cert = solve_qmi(plant, FLAGSHIP_GAMMA, 1e-2 * np.linalg.norm(plant.F, 2))
-    if cert.eps > 0 and -cert.qmi_max_eig <= cert.eps:
-        with pytest.warns(RuntimeWarning):
-            qmi_slack(plant, FLAGSHIP_GAMMA, cert)
-
-
 def test_ms_bound_frozen_example():
     assert ms_bound(2.0, 2.0, 1.0, 0.04, 0.0) == pytest.approx(3.04, abs=1e-15)
 
