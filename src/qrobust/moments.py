@@ -161,14 +161,8 @@ def steady_state_moments(sys):
 
 def vacuum_state(sys):
     """<xi xi^dagger> of the joint vacuum: diag(I, 0) per sector."""
-    blocks = []
-    for n in (sys.n_a, sys.n_b):
-        blocks.append(np.diag(np.concatenate([np.ones(n), np.zeros(n)])))
-    dim = 2 * (sys.n_a + sys.n_b)
-    x0 = np.zeros((dim, dim), dtype=complex)
-    x0[:2 * sys.n_a, :2 * sys.n_a] = blocks[0]
-    x0[2 * sys.n_a:, 2 * sys.n_a:] = blocks[1]
-    return x0
+    return np.diag(np.concatenate([np.ones(sys.n_a), np.zeros(sys.n_a),
+                                   np.ones(sys.n_b), np.zeros(sys.n_b)])).astype(complex)
 
 
 def _step_map(a, d, h):
@@ -177,14 +171,21 @@ def _step_map(a, d, h):
     Phi = e^{A h} and Q_d = int_0^h e^{A s} D e^{A^dagger s} ds come from
     one block exponential (Van Loan, IEEE TAC 23 (1978) 395-404):
     expm([[-A, D], [0, A^dagger]] h) = [[., G], [0, Phi^dagger]], Q_d = Phi G.
-    G carries e^{-A h}, so rounding grows like e^{h |Re lambda|} for the
-    fastest-decaying mode lambda.
+    G carries e^{-A h}, whose rounding grows like e^{h |Re lambda|} for the
+    fastest mode lambda, so the map is formed at s = h / 2^j with
+    s |Re lambda| <= 1 and doubled back up j times through
+    Q(2s) = Phi(s) Q(s) Phi(s)^dagger + Q(s) and Phi(2s) = Phi(s)^2.
     """
     m = a.shape[0]
-    e = expm(h * np.block([[-a, d], [np.zeros_like(a), a.conj().T]]))
+    rate = h * float(np.abs(np.linalg.eigvals(a).real).max())
+    j = int(np.ceil(np.log2(rate))) if rate > 1.0 else 0
+    e = expm((h / 2 ** j) * np.block([[-a, d], [np.zeros_like(a), a.conj().T]]))
     phi = e[m:, m:].conj().T
     q = phi @ e[:m, m:]
-    return phi, e[m:, m:], 0.5 * (q + q.conj().T)
+    for _ in range(j):
+        q = phi @ q @ phi.conj().T + q
+        phi = phi @ phi
+    return phi, phi.conj().T, 0.5 * (q + q.conj().T)
 
 
 def integrate_moments(sys, T, dt=None, x0=None):

@@ -197,7 +197,9 @@ def test_arbitrated_factor_matches_repo_constant():
 
 
 # `qrobust fockcheck --dim 20 --trials 1 --seed 3` as printed when every
-# check still ran on dense two-mode operators: (name, count, worst, tol)
+# check still ran on dense two-mode operators: (name, count, worst, tol);
+# the residuals are rounding errors, so another BLAS build may move them
+# by a few ulps of 1e-14
 CLI_ROWS_20_1_3 = [
     ("ccr_one_mode", 1, 1.7763568394002473e-15, 1e-12),
     ("ccr_two_mode", 1, 1.7763568394002473e-15, 1e-12),
@@ -216,10 +218,7 @@ def test_run_suite_reproduces_the_cli_table():
     assert [r[:2] + r[3:] for r in rows] == [
         (name, count, tol, True) for name, count, _, tol in CLI_ROWS_20_1_3]
     for (name, _, worst, _, _), (_, _, expected, _) in zip(rows, CLI_ROWS_20_1_3):
-        if name == "generator_decomposition":
-            assert abs(worst - expected) <= 1e-14
-        else:
-            assert worst == expected, name
+        assert abs(worst - expected) <= 1e-14, name
 
 
 def test_run_suite_validates_its_arguments():
