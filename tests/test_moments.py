@@ -6,9 +6,9 @@ import scipy.linalg as sla
 
 from qrobust.errors import DimensionError, ModelError, PreconditionError
 from qrobust.model import validate_model
-from qrobust.moments import (build_closed_loop, integrate_moments,
-                             scalar_damping_rate, steady_state_moments,
-                             vacuum_state)
+from qrobust.moments import (DIVERGENCE_LIMIT, _plant_diagonal_sums, build_closed_loop,
+                             integrate_moments, scalar_damping_rate,
+                             steady_state_moments, vacuum_state)
 from qrobust.opa import OpaParams, build_opa_model, draw_params
 
 FLAGSHIP = OpaParams(chi=0.1, kappa_a=2.0, kappa_b=4.0, abar=1.0, bbar=1.0)
@@ -117,6 +117,23 @@ def test_trajectory_flags_divergence():
     traj = integrate_moments(sys, 400.0, dt=0.01)
     assert traj.diverged
     assert traj.ms_values[-1] == np.inf
+    # stopped at the first grid point past the limit, in the middle of a block
+    assert len(traj.t) == len(traj.ms_values) < 40001
+    assert np.isfinite(traj.ms_values[:-1]).all()
+    assert np.abs(traj.X_final).max() > DIVERGENCE_LIMIT
+
+
+def test_plant_diagonal_check_reports_the_first_bad_matrix():
+    good = np.diag([1.0, 0.5, 1.0, 0.0]).astype(complex)
+    negative, nonreal = good.copy(), good.copy()
+    negative[1, 1], nonreal[0, 0] = -1.0, 1.0 + 1j
+    assert _plant_diagonal_sums(np.stack([good, good]), 1).tolist() == [1.5, 1.5]
+    with pytest.raises(PreconditionError, match="negative plant diagonal"):
+        _plant_diagonal_sums(np.stack([good, negative, nonreal]), 1)
+    with pytest.raises(PreconditionError, match="non-real plant diagonal"):
+        _plant_diagonal_sums(np.stack([good, nonreal, negative]), 1)
+    with pytest.raises(PreconditionError, match="negative plant diagonal"):
+        integrate_moments(flagship_loop(), 1.0, x0=negative)
 
 
 def test_trajectory_monotone_from_vacuum_flagship():
