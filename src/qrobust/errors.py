@@ -24,6 +24,8 @@ class NumericError(ToolkitError, RuntimeError):
 class InfeasibleError(NumericError):
     """No certificate exists for the requested parameters.
 
-    Raised by the Riccati/inequality solvers; for the shifted-equation
-    route the caller is expected to back off the shift and retry.
+    Raised by the Riccati/inequality solvers.  When a shifted Riccati
+    equation has no stabilizing solution, a smaller shift may still have
+    one; when the equation solved but its structured solution fails the
+    strict inequality, a smaller shift is not expected to help.
     """

@@ -103,10 +103,10 @@ def _as_complex_matrix(x, name):
     return x
 
 
-def _worst_entry(delta):
-    flat = np.abs(delta)
+def _worst_entry(flat):
+    """(row, column) of the first largest entry of a matrix of magnitudes."""
     i, j = np.unravel_index(int(np.argmax(flat)), flat.shape)
-    return flat[i, j], (int(i), int(j))
+    return int(i), int(j)
 
 
 def _conj_sym_residual(x):
@@ -135,18 +135,18 @@ def structure_residual(x, n):
     x = _as_complex_matrix(x, "X")
     if x.shape != (2 * n, 2 * n):
         raise DimensionError(f"expected a {2*n}x{2*n} matrix, got {x.shape[0]}x{x.shape[1]}")
-    res, _ = _worst_entry(_conj_sym_residual(x))
-    return float(res)
+    return float(np.abs(_conj_sym_residual(x)).max())
 
 
 def _check_structured(x, name):
     scale = float(np.abs(x).max()) if x.size else 0.0
-    res, where = _worst_entry(_conj_sym_residual(x))
+    delta = np.abs(_conj_sym_residual(x))
+    res = delta.max()
     if res > STRUCTURE_RTOL * scale:
         raise ModelError(
             f"{name} breaks the doubled-up block symmetry: "
-            f"|Sigma {name}^# Sigma - {name}| has magnitude {res:.3e} at entry {where} "
-            f"(tolerance {STRUCTURE_RTOL:.0e} x scale {scale:.3e})")
+            f"|Sigma {name}^# Sigma - {name}| has magnitude {res:.3e} at entry "
+            f"{_worst_entry(delta)} (tolerance {STRUCTURE_RTOL:.0e} x scale {scale:.3e})")
 
 
 def validate_model(M, N_a, N_b, E_tilde, n_a=None, n_b=None):
@@ -180,11 +180,12 @@ def validate_model(M, N_a, N_b, E_tilde, n_a=None, n_b=None):
             f"got {E_tilde.shape[0]}x{E_tilde.shape[1]}")
 
     scale = float(np.abs(M).max()) if M.size else 0.0
-    herm_res, where = _worst_entry(M - M.conj().T)
+    herm = np.abs(M - M.conj().T)
+    herm_res = herm.max()
     if herm_res > STRUCTURE_RTOL * scale:
         raise ModelError(
             f"M is not Hermitian: |M - M^dagger| has magnitude {herm_res:.3e} at entry "
-            f"{where} (tolerance {STRUCTURE_RTOL:.0e} x scale {scale:.3e})")
+            f"{_worst_entry(herm)} (tolerance {STRUCTURE_RTOL:.0e} x scale {scale:.3e})")
     _check_structured(M, "M")
     _check_structured(N_a, "N_a")
     _check_structured(N_b, "N_b")

@@ -29,13 +29,24 @@ can lose strict negativity when the margin is thin.  certify()
 therefore tries three constructions, cheapest first, re-verifying every
 candidate against the strict inequality before accepting it:
 
- 1. the shifted equation with symmetrization and shift backtracking
-    (the textbook route; accepts the large majority of feasible cases);
+ 1. the shifted equation with symmetrization (the textbook route;
+    accepts the large majority of feasible cases), its shift halved
+    from EPS_START_FACTOR |F|_2 toward EPS_FLOOR_FACTOR |F|_2 while the
+    equation has no stabilizing solution.  Once it solves and the
+    symmetrized matrix fails the check, the rung stops: over the test
+    and benchmark draw sets no smaller shift rescued such a matrix;
  2. a two-channel shifted equation that adds the Sigma-conjugate channel
     B' = -J E^dagger: its coefficients are Sigma-conjugation symmetric,
     so the stabilizing solution is exactly structured and dominates the
     single-channel inequality, at the price of a stronger feasibility
-    requirement;
+    requirement.  The largest shift is tried first, then the smallest:
+    the stabilizing solution of F'P + PF + PRP + Q + eps I = 0 only
+    gets easier to have as eps shrinks (Riccati comparison; Zhou, Doyle
+    and Glover, Robust and Optimal Control, 1996, ch. 13), so without
+    one at the smallest shift no shift of this rung can succeed and the
+    search goes straight to rung 3.  Otherwise
+    the shifts in between are tried largest first, whatever way each
+    fails, and the smallest shift's result ends the rung;
  3. an exact log-barrier solve of the inequality's Schur-complement form,
     a linear matrix inequality in the structured parameterization, for
     the global minimum of its top eigenvalue (route 'eig-opt').  This
@@ -205,12 +216,16 @@ def _certificate(plant, gamma, p, eps, route, are_residual):
                        qmi_max_eig=qmi_max)
 
 
-def _accept(cert):
+class _RejectedError(InfeasibleError):
+    """The Riccati equation solved, but its structured solution fails the check."""
+
+
+def _accept(cert, error=InfeasibleError):
     if cert.min_eig <= 0:
-        raise InfeasibleError(
+        raise error(
             f"certificate is not positive definite (min eigenvalue {cert.min_eig:.3e})")
     if cert.qmi_max_eig >= 0:
-        raise InfeasibleError(
+        raise error(
             f"strict inequality fails after structuring (top eigenvalue {cert.qmi_max_eig:.3e})")
     return cert
 
@@ -222,8 +237,9 @@ def solve_qmi(plant, gamma, eps):
     + eps I = 0 by the invariant-subspace method, symmetrizes the result
     into the doubled-up class, and re-verifies the strict inequality
     without the shift.  Raises InfeasibleError when no stabilizing
-    solution exists at this shift or the symmetrized matrix fails the
-    verification; callers back the shift off and retry.
+    solution exists at this shift, where a smaller shift may have one,
+    or when the symmetrized matrix fails the verification, where the
+    certificate search stops halving.
     """
     if eps <= 0:
         raise PreconditionError(f"shift must be positive, got {eps!r}")
@@ -232,7 +248,7 @@ def solve_qmi(plant, gamma, eps):
     q = _inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C) + eps * np.eye(n2)
     p_raw, residual = riccati_stabilizing(plant.F, r, q)
     p = _structure_symmetrize(p_raw, constants(plant.n).Sigma)
-    return _accept(_certificate(plant, gamma, p, eps, "shifted-are", residual))
+    return _accept(_certificate(plant, gamma, p, eps, "shifted-are", residual), _RejectedError)
 
 
 def _solve_two_channel(plant, gamma, eps):
@@ -254,7 +270,8 @@ def _solve_two_channel(plant, gamma, eps):
          + eps * np.eye(2 * plant.n))
     p_raw, residual = riccati_stabilizing(plant.F, r, q)
     p = _structure_symmetrize(p_raw, cn.Sigma)  # exact up to rounding already
-    return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual))
+    return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual),
+                   _RejectedError)
 
 
 def _structured_basis(n):
@@ -383,16 +400,34 @@ def _solve_lmi(plant, gamma):
 
 def _qmi_search(plant, gamma):
     """Route ladder; see the module docstring."""
-    nf = float(np.linalg.norm(plant.F, 2))
-    eps_floor = EPS_FLOOR_FACTOR * nf
-    for solver in (solve_qmi, _solve_two_channel):
-        eps = EPS_START_FACTOR * nf
-        while eps >= eps_floor:
-            try:
-                return solver(plant, gamma, eps)
-            except (InfeasibleError, NumericError):
-                eps *= 0.5
-    return _solve_lmi(plant, gamma)
+    top = EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
+    halvings = int(math.log2(EPS_START_FACTOR / EPS_FLOOR_FACTOR))  # last shift >= the floor
+    shifts = [top * 0.5 ** k for k in range(halvings + 1)]
+    for eps in shifts:
+        try:
+            return solve_qmi(plant, gamma, eps)
+        except _RejectedError:
+            break  # the equation solved: halving further does not rescue P
+        except (InfeasibleError, NumericError):
+            pass
+    try:
+        return _solve_two_channel(plant, gamma, shifts[0])
+    except (InfeasibleError, NumericError):
+        pass
+    # without a stabilizing solution at the smallest shift there is none
+    # at any larger one, so no shift of this rung can succeed
+    try:
+        last = _solve_two_channel(plant, gamma, shifts[-1])
+    except _RejectedError:
+        last = None
+    except (InfeasibleError, NumericError):
+        return _solve_lmi(plant, gamma)
+    for eps in shifts[1:-1]:
+        try:
+            return _solve_two_channel(plant, gamma, eps)
+        except (InfeasibleError, NumericError):
+            pass
+    return last if last is not None else _solve_lmi(plant, gamma)
 
 
 def comm_constant(p, e_tilde):

@@ -76,6 +76,32 @@ def test_validate_model_rejects_broken_block_symmetry():
         validate_model(m, n_a, n_b, e)
 
 
+def two_mode_matrices():
+    a = np.array([[1.5, 0.2 + 0.1j], [0.2 - 0.1j, -0.5]])
+    b = np.array([[0.3, 0.4j], [0.4j, -0.1]])
+    m = np.block([[a, b], [b.conj(), a.conj()]])
+    return m, 2.0 * np.eye(4, dtype=complex), np.eye(2), np.ones((1, 4))
+
+
+def test_validate_model_rejection_messages_name_the_worst_entry():
+    m, n_a, n_b, e = two_mode_matrices()
+    validate_model(m, n_a, n_b, e)
+    bad = m.copy()
+    bad[3, 1] += 0.25  # |M - M^dagger| ties at (1, 3) and (3, 1): the first is named
+    with pytest.raises(ModelError) as info:
+        validate_model(bad, n_a, n_b, e)
+    assert str(info.value) == (
+        "M is not Hermitian: |M - M^dagger| has magnitude 2.500e-01 at entry (1, 3) "
+        "(tolerance 1e-12 x scale 1.500e+00)")
+    bad = n_a.copy()
+    bad[3, 0] = 0.5  # the residual ties at (1, 2) and (3, 0)
+    with pytest.raises(ModelError) as info:
+        validate_model(m, bad, n_b, e)
+    assert str(info.value) == (
+        "N_a breaks the doubled-up block symmetry: |Sigma N_a^# Sigma - N_a| has "
+        "magnitude 5.000e-01 at entry (1, 2) (tolerance 1e-12 x scale 2.000e+00)")
+
+
 def test_validate_model_rejects_odd_coupling_rows():
     m, _, n_b, e = opa_matrices()
     with pytest.raises(DimensionError):

@@ -8,13 +8,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qrobust import smallgain
 from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.model import constants, validate_model
 from qrobust.opa import OpaParams, build_opa_model, draw_params
-from qrobust.smallgain import (COMM_FACTOR, PlantMatrices, certify,
-                               comm_constant, compute_F, freq_response,
-                               hinf_norm, is_hurwitz, ms_bound, noise_trace,
-                               qmi_slack, solve_qmi)
+from qrobust.smallgain import (COMM_FACTOR, EPS_FLOOR_FACTOR, EPS_START_FACTOR,
+                               PlantMatrices, _solve_lmi, _solve_two_channel,
+                               certify, comm_constant, compute_F,
+                               freq_response, hinf_norm, is_hurwitz, ms_bound,
+                               noise_trace, qmi_slack, solve_qmi)
 from qrobust.uncertainty import qsiqc_params
 from test_acceptance import draw_stable_plant
 
@@ -335,3 +337,78 @@ def test_lmi_rung_is_invariant_under_time_rescaling(index, c):
     assert rep_c.verdict == rep.verdict == "certified"
     assert float(np.abs(rep_c.P.P - c * rep.P.P).max()) <= 1e-9 * c * float(np.abs(rep.P.P).max())
     assert abs(rep_c.ms_bound - rep.ms_bound) <= 1e-9 * rep.ms_bound
+
+
+def full_ladder(plant, gamma):
+    """The certificate search that runs both Riccati rungs over every
+    shift, EPS_START_FACTOR |F|_2 halved down to EPS_FLOOR_FACTOR |F|_2,
+    before the LMI rung: the reference certify() must match exactly."""
+    nf = float(np.linalg.norm(plant.F, 2))
+    for solver in (solve_qmi, _solve_two_channel):
+        eps = EPS_START_FACTOR * nf
+        while eps >= EPS_FLOOR_FACTOR * nf:
+            try:
+                return solver(plant, gamma, eps)
+            except (InfeasibleError, NumericError):
+                eps *= 0.5
+    return _solve_lmi(plant, gamma)
+
+
+def assert_matches_full_ladder(model, gamma, delta1=0.0, delta2=0.0):
+    """certify() against full_ladder(); returns (route, halvings of the shift)."""
+    plant = compute_F(model)
+    try:
+        ref = full_ladder(plant, gamma)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as info:
+            certify(model, gamma, delta1, delta2)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return "infeasible", None
+    rep = certify(model, gamma, delta1, delta2)
+    assert (rep.P.route, rep.P.eps) == (ref.route, ref.eps)
+    assert rep.P.P.tobytes() == ref.P.tobytes()
+    bound = ms_bound(noise_trace(ref.P, model.N_a), comm_constant(ref.P, model.E_tilde),
+                     -ref.qmi_max_eig, delta1, delta2)
+    assert rep.ms_bound == bound
+    if ref.route == "eig-opt":
+        return ref.route, None
+    return ref.route, round(math.log2(EPS_START_FACTOR * np.linalg.norm(plant.F, 2) / ref.eps))
+
+
+def test_certify_matches_the_full_ladder():
+    rng = np.random.default_rng(11)  # criterion 5's draws
+    wins = set()
+    for k in range(100):
+        model, plant, _ = draw_stable_plant(rng)
+        gamma = math.inf if k % 2 == 0 else 3.0 * hinf_norm(plant)
+        wins.add(assert_matches_full_ladder(model, gamma, 0.3, 0.1))
+    # the draws exercise shifts below the first on both Riccati rungs
+    assert {("shifted-are", h) for h in (1, 2, 3, 4)} <= wins
+    assert {("two-channel-are", h) for h in (1, 2, 3, 7)} <= wins
+    outcomes = Counter(assert_matches_full_ladder(*tight_margin_draw(5, 2, index))[0]
+                       for index in range(10))
+    assert outcomes["eig-opt"] > 0 and outcomes["infeasible"] > 0
+
+
+@pytest.mark.parametrize("n, index, factor, outcome, most", [
+    (4, 0, 6.0 / 2.1, "two-channel-are", 2),
+    (2, 6, 1.0, "infeasible", 5),
+], ids=["loose-two-channel", "tight-infeasible"])
+def test_certificate_ladder_stops_where_it_cannot_succeed(monkeypatch, n, index, factor,
+                                                          outcome, most):
+    # with both Riccati rungs run over every shift these take 28 and 54 solves
+    model, gamma = tight_margin_draw(5, n, index)
+    calls = []
+    solve = smallgain.riccati_stabilizing
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(smallgain, "riccati_stabilizing", counted)
+    try:
+        route = certify(model, factor * gamma).P.route
+    except InfeasibleError:
+        route = "infeasible"
+    assert route == outcome
+    assert len(calls) <= most
