@@ -21,6 +21,7 @@ stderr only.
 """
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -260,6 +261,7 @@ def _cmd_fockcheck(args):
     return 0 if passed == len(rows) else 1
 
 
+@functools.cache  # depends on no input; parse_args leaves the parser unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qrobust",

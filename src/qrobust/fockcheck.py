@@ -24,6 +24,11 @@ The checks covered:
     shape S in {I, b, b^dagger, b^dagger b}, formed on one-mode
     matrices since plant and b-sector operators act on different factors.
 
+No check forms a product of two N^2 x N^2 matrices.  The two-mode
+commutation relations are read row by row off the two-mode ladders,
+which have at most one nonzero entry per row, and the decomposition
+residual is taken from the maxima of its one-mode factors.
+
 All residuals returned are relative (scaled by the larger of 1 and the
 magnitude of the quantities compared), so thresholds are plain numbers.
 run_suite runs every check on seeded draws and returns the pass/fail
@@ -63,7 +68,7 @@ BOUNDARY_DROP = 4
 COEFF_SHAPES = ("I", "b", "b_dag", "b_dag_b")
 # every monomial degree pair the decomposition check supports
 MONOMIALS = tuple((k, l) for k in range(4) for l in range(4) if k + l <= 3)
-MAX_TWO_MODE_DIM = 40  # largest two-mode truncation level the checks accept
+MAX_TWO_MODE_DIM = 40  # largest two-mode truncation level the decomposition check accepts
 
 COMM_FACTOR_TOL = 1e-8  # spread allowed when arbitrating the constant
 
@@ -97,14 +102,17 @@ def build_mode_ops(n_modes, n):
     return ModeOperators(n_modes=2, dim=n, a=np.kron(a1, eye), b=np.kron(eye, a1))
 
 
-def _subblock(mat, n, n_modes, drop=BOUNDARY_DROP):
+def _window_size(n, drop=BOUNDARY_DROP):
+    """Number of states per mode kept clear of the cutoff."""
     keep = n - drop
     if keep < 1:
         raise PreconditionError(f"truncation level {n} leaves no interior states")
-    if n_modes == 1:
-        return mat[:keep, :keep]
-    idx = (np.arange(keep)[:, None] * n + np.arange(keep)[None, :]).ravel()
-    return mat[np.ix_(idx, idx)]
+    return keep
+
+
+def _subblock(mat, n, drop=BOUNDARY_DROP):
+    keep = _window_size(n, drop)
+    return mat[:keep, :keep]
 
 
 def _comm(x, y):
@@ -156,23 +164,89 @@ def _rel_residual(lhs, rhs):
     return float(np.abs(lhs - rhs).max()) / scale
 
 
+def _row_sparse(mat):
+    """Row-sparse forms (cols, vals) of mat and of its adjoint.
+
+    Row i of each form holds vals[i] in column cols[i] and is zero
+    elsewhere (vals[i] = 0 on a zero row).  Raises NumericError unless
+    mat has at most one nonzero entry in every row and every column, as
+    truncated ladders and their tensor extensions do.
+    """
+    dim = mat.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(mat != 0), dim)  # twice as fast as on complex
+    if max(np.bincount(rows, minlength=dim).max(),
+           np.bincount(cols, minlength=dim).max()) > 1:
+        raise NumericError("ladder operator has more than one nonzero entry "
+                           "in a row or column")
+    vals = mat[rows, cols]
+    forms = []
+    for r, c, v in ((rows, cols, vals), (cols, rows, vals.conj())):
+        form_cols, form_vals = np.zeros(dim, dtype=np.intp), np.zeros(dim, dtype=complex)
+        form_cols[r], form_vals[r] = c, v
+        forms.append((form_cols, form_vals))
+    return forms
+
+
+def _row_commutator(x, y):
+    """[X, Y] of row-sparse X and Y as two (cols, vals) entries per row.
+
+    Every entry of XY and YX is a single product, so it equals the entry
+    of the dense product bit for bit.  Where the two rows share a column
+    the difference goes into the first entry and the second is zero.
+    """
+    (cx, vx), (cy, vy) = x, y
+    c1, v1 = cy[cx], vx * vy[cx]
+    c2, v2 = cx[cy], vy * vx[cy]
+    same = c1 == c2
+    return (c1, np.where(same, v1 - v2, v1)), (c2, np.where(same, 0, -v2))
+
+
+def _identity_residual(comm, kept):
+    """_rel_residual of a row commutator against I, both on the kept window.
+
+    kept lists the row (and column) indices of the window.  Besides the
+    two commutator entries, row r of C - I holds -1 in column r, which
+    falls on an entry when one sits there and stands alone otherwise.
+    """
+    dim = comm[0][0].size
+    (c1, m1), (c2, m2) = ((c[kept], m[kept]) for c, m in comm)
+    inside = np.zeros(dim, dtype=bool)
+    inside[kept] = True
+    in1, in2 = inside[c1], inside[c2]
+    on1, on2 = c1 == kept, c2 == kept
+    d1 = m1 - on1
+    d2 = m2 - (on2 & ~on1)
+    scale = max(1.0, float(np.abs(m1[in1]).max(initial=0.0)),
+                float(np.abs(m2[in2]).max(initial=0.0)))
+    worst = max(float(np.abs(d1[in1]).max(initial=0.0)),
+                float(np.abs(d2[in2]).max(initial=0.0)),
+                float((~on1 & ~on2).max()))
+    return worst / scale
+
+
 def check_ccr(n_modes, n):
     """Worst commutation-relation residual on the kept subblock.
 
     [a, a^dagger] = I holds exactly on the first N-1 states of a
     truncated ladder pair (only the corner entry is corrupted), and
     operators of different modes commute exactly everywhere.
+
+    The N^2 x N^2 two-mode operators of build_mode_ops have at most one
+    nonzero entry per row, so their commutators are evaluated row by row
+    in O(N^2) and come out equal to the dense products'.
     """
     ops = build_mode_ops(n_modes, n)
-    eye = np.eye(ops.a.shape[0])
-    worst = _rel_residual(_subblock(_comm(ops.a, ops.a.conj().T), n, n_modes),
-                          _subblock(eye, n, n_modes))
-    if n_modes == 2:
-        for other in (ops.b, ops.b.conj().T):
-            worst = max(worst, float(np.abs(_comm(ops.a, other)).max()))
-        worst = max(worst, _rel_residual(
-            _subblock(_comm(ops.b, ops.b.conj().T), n, n_modes),
-            _subblock(eye, n, n_modes)))
+    if n_modes == 1:
+        return _rel_residual(_subblock(_comm(ops.a, ops.a.conj().T), n),
+                             _subblock(np.eye(n), n))
+    keep = _window_size(n)
+    kept = (np.arange(keep)[:, None] * n + np.arange(keep)[None, :]).ravel()
+    (a, a_dag), (b, b_dag) = _row_sparse(ops.a), _row_sparse(ops.b)
+    worst = max(_identity_residual(_row_commutator(a, a_dag), kept),
+                _identity_residual(_row_commutator(b, b_dag), kept))
+    for other in (b, b_dag):
+        for _, vals in _row_commutator(a, other):
+            worst = max(worst, float(np.abs(vals).max()))
     return worst
 
 
@@ -196,7 +270,7 @@ def check_double_commutator(p, e_tilde, n=30, drop=BOUNDARY_DROP):
     ops = build_mode_ops(1, n)
     z = e[0, 0] * ops.a + e[0, 1] * ops.a.conj().T
     v = _quad_form(p, ops.a)
-    sub = _subblock(_comm(z, _comm(z, v)), n, 1, drop)
+    sub = _subblock(_comm(z, _comm(z, v)), n, drop)
     keep = sub.shape[0]
     fock_scalar = complex(np.trace(sub) / keep)
     residual = float(np.abs(sub - fock_scalar * np.eye(keep)).max()) \
@@ -235,7 +309,7 @@ def check_quadratic_identities(p, m, n_a, n=30, drop=BOUNDARY_DROP):
 
     lhs1 = _comm(v, 0.5 * _quad_form(m, ops.a))
     rhs1 = _quad_form(p @ cn.J @ m - m @ cn.J @ p, ops.a)
-    r1 = _rel_residual(_subblock(lhs1, n, 1, drop), _subblock(rhs1, n, 1, drop))
+    r1 = _rel_residual(_subblock(lhs1, n, drop), _subblock(rhs1, n, drop))
 
     mch = n_a.shape[0] // 2
     jm = constants(mch).J
@@ -249,15 +323,15 @@ def check_quadratic_identities(p, m, n_a, n=30, drop=BOUNDARY_DROP):
     trace_term = complex(np.trace(p @ cn.J @ n_a.conj().T @ sel @ n_a @ cn.J))
     quad_part = n_a.conj().T @ jm @ n_a @ cn.J @ p + p @ cn.J @ n_a.conj().T @ jm @ n_a
     rhs2 = trace_term * np.eye(v.shape[0]) - 0.5 * _quad_form(quad_part, ops.a)
-    r2 = _rel_residual(_subblock(lhs2, n, 1, drop), _subblock(rhs2, n, 1, drop))
+    r2 = _rel_residual(_subblock(lhs2, n, drop), _subblock(rhs2, n, drop))
 
     two_jp = 2.0 * cn.J @ p
     r3 = 0.0
     for i in range(2):
         lhs3 = _comm(xs[i], v)
         rhs3 = two_jp[i, 0] * xs[0] + two_jp[i, 1] * xs[1]
-        r3 = max(r3, _rel_residual(_subblock(lhs3, n, 1, drop),
-                                   _subblock(rhs3, n, 1, drop)))
+        r3 = max(r3, _rel_residual(_subblock(lhs3, n, drop),
+                                   _subblock(rhs3, n, drop)))
     return r1, r2, r3
 
 
@@ -278,7 +352,10 @@ def check_generator_decomposition(k, l, shape, p, e_tilde, n=20, drop=BOUNDARY_D
 
     Every plant operator is X (x) I and S is I (x) S_b, so both sides are
     (one-mode matrix) (x) S_b, and their kept two-mode blocks are the
-    Kronecker products of the kept one-mode blocks.
+    Kronecker products of the kept one-mode blocks.  Every entry of
+    kron(X, S_b) is x_ij s_kl, so the maxima of the two sides and of
+    their difference are one-mode maxima times max|S_b|, and no
+    Kronecker product is formed.
     """
     if not isinstance(k, (int, np.integer)) or not isinstance(l, (int, np.integer)) \
             or k < 0 or l < 0:
@@ -318,9 +395,10 @@ def check_generator_decomposition(k, l, shape, p, e_tilde, n=20, drop=BOUNDARY_D
         rhs = rhs - 0.5 * k * (k - 1) * mu * zz(k - 2, l)
     if l >= 2:
         rhs = rhs + 0.5 * l * (l - 1) * mu.conjugate() * zz(k, l - 2)
-    s_kept = _subblock(s, n, 1, drop)
-    return _rel_residual(np.kron(_subblock(lhs, n, 1, drop), s_kept),
-                         np.kron(_subblock(rhs, n, 1, drop), s_kept))
+    lhs, rhs = _subblock(lhs, n, drop), _subblock(rhs, n, drop)
+    s_max = float(np.abs(_subblock(s, n, drop)).max())
+    scale = max(1.0, float(np.abs(lhs).max()) * s_max, float(np.abs(rhs).max()) * s_max)
+    return float(np.abs(lhs - rhs).max()) * s_max / scale
 
 
 def random_hermitian_structured(rng, n=1):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qrobust.errors import DimensionError, PreconditionError
+from qrobust import fockcheck
+from qrobust.errors import DimensionError, NumericError, PreconditionError
 from qrobust.fockcheck import (COEFF_SHAPES, MONOMIALS, arbitrate_comm_factor,
                                build_mode_ops, check_ccr,
                                check_double_commutator,
@@ -26,6 +27,68 @@ def test_ladder_matrix_elements():
 def test_ccr_residuals():
     assert check_ccr(1, 30) <= 1e-12
     assert check_ccr(2, 20) <= 1e-12
+
+
+def dense_ccr_residual(n, drop=4):
+    """check_ccr(2, n) formed with dense N^2 x N^2 products."""
+    ops = build_mode_ops(2, n)
+    keep = n - drop
+    idx = (np.arange(keep)[:, None] * n + np.arange(keep)[None, :]).ravel()
+    eye = np.eye(idx.size)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    def rel(c):
+        sub = c[np.ix_(idx, idx)]
+        return float(np.abs(sub - eye).max()) / max(1.0, float(np.abs(sub).max()))
+
+    worst = max(rel(comm(ops.a, ops.a.conj().T)), rel(comm(ops.b, ops.b.conj().T)))
+    for other in (ops.b, ops.b.conj().T):
+        worst = max(worst, float(np.abs(comm(ops.a, other)).max()))
+    return worst
+
+
+@pytest.mark.parametrize("n", [5, 16, 20, 24])
+def test_two_mode_ccr_equals_the_dense_products(n):
+    assert check_ccr(2, n) == dense_ccr_residual(n)
+
+
+def test_ccr_detects_a_perturbed_ladder(monkeypatch):
+    def perturbed(n):
+        a = ladder(n)
+        a[3, 4] += 1e-6  # inside the kept window of every n >= 9
+        return a
+
+    monkeypatch.setattr(fockcheck, "ladder", perturbed)
+    assert check_ccr(1, 20) > 1e-8
+    assert check_ccr(2, 20) > 1e-8
+    assert check_ccr(2, 20) == dense_ccr_residual(20)
+
+
+def test_two_mode_ccr_equals_the_dense_products_on_a_zero_row(monkeypatch):
+    # a ladder along the chain 0 -> 1 -> ... -> 4 -> 6 -> 7 -> ..., which
+    # leaves state 5 out: [a, a^dagger] is I on the window except for a
+    # zero row 5, where the -1 of the identity meets no commutator entry
+    # and alone sets the residual
+    def cut(n):
+        chain = [k for k in range(n) if k != 5]
+        a = np.zeros((n, n), dtype=complex)
+        for pos, (i, j) in enumerate(zip(chain, chain[1:])):
+            a[i, j] = np.sqrt(pos + 1.0)
+        return a
+
+    monkeypatch.setattr(fockcheck, "ladder", cut)
+    assert check_ccr(2, 20) == dense_ccr_residual(20) == pytest.approx(1.0)
+
+
+def test_two_mode_ccr_rejects_an_operator_that_is_not_row_sparse(monkeypatch):
+    def with_diagonal(n):
+        return ladder(n) + np.eye(n)
+
+    monkeypatch.setattr(fockcheck, "ladder", with_diagonal)
+    with pytest.raises(NumericError, match="more than one nonzero"):
+        check_ccr(2, 8)
 
 
 def test_mode_ops_commute_across_modes():
