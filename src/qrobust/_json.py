@@ -6,10 +6,15 @@ whatever ``repr`` happens to produce, and infinities keep the ``Infinity``
 token that ``json.loads`` already understands.  Complex scalars are
 encoded as two-element ``[re, im]`` arrays; matrices as row-major nested
 arrays of those pairs.
+
+A 2-D complex ndarray is emitted through one layout template and one
+``%`` format over all its floats; decoding type-checks the entries in
+one pass and reads them with one ``np.fromiter`` call.
 """
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -18,8 +23,7 @@ from .errors import ModelError
 __all__ = [
     "dumps",
     "format_float",
-    "complex_to_pair",
-    "matrix_to_lists",
+    "format_matrix",
     "matrix_from_lists",
 ]
 
@@ -32,46 +36,51 @@ def format_float(x):
         return "Infinity" if x > 0 else "-Infinity"
     out = format(x, ".17g")
     # keep integral floats recognizable as numbers, not ints
-    if "." not in out and "e" not in out and "E" not in out \
-            and "n" not in out and "N" not in out:
-        out += ".0"
-    return out
+    return out if "." in out or "e" in out else out + ".0"
 
 
-def complex_to_pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def matrix_to_lists(x):
-    """Row-major nested lists of [re, im] pairs for a 2-D array."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    return [[complex_to_pair(v) for v in row] for row in x]
+def format_matrix(x, cell, col_sep, row_open, row_close, row_sep):
+    """Text of a 2-D complex array, each part as format_float writes it:
+    cell has a %s slot for the real and one for the imaginary part."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    vals = x.view(float).ravel()
+    if np.isfinite(vals).all():
+        # %.17g is format_float's text less the ".0" it appends where that
+        # has no "." or "e": on integral values below 1e17, -0.0 included
+        slot, args = "%.17g%s", [None] * (2 * vals.size)
+        args[::2] = vals.tolist()
+        args[1::2] = np.where((np.trunc(vals) == vals) & (np.abs(vals) < 1e17), ".0", "").tolist()
+    else:
+        slot, args = "%s", [format_float(v) for v in vals.tolist()]
+    row = row_open + col_sep.join([cell % (slot, slot)] * x.shape[1]) + row_close
+    return row_sep.join([row] * x.shape[0]) % tuple(args)
 
 
 def matrix_from_lists(rows, name):
     """Strictly decode nested [re, im] pairs into a complex matrix.
 
-    Every entry must be a two-element list of finite numbers; anything
-    else is rejected with the entry position in the message.
+    Every entry must be a two-element list of numbers; anything else is
+    rejected with the entry position in the message.
     """
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ModelError(f"{name}: expected a non-empty nested array of [re, im] pairs")
     ncols = len(rows[0])
     if ncols == 0:
         raise ModelError(f"{name}: rows must be non-empty")
-    out = np.zeros((len(rows), ncols), dtype=complex)
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ModelError(f"{name}: row {i} has {len(row)} entries, expected {ncols}")
-        for j, entry in enumerate(row):
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
-                raise ModelError(f"{name}: entry ({i}, {j}) is not a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
-    return out
+    ragged = next((i for i, row in enumerate(rows) if len(row) != ncols), len(rows))
+    ok = [isinstance(e, (list, tuple)) and len(e) == 2
+          and isinstance(e[0], (int, float)) and not isinstance(e[0], bool)
+          and isinstance(e[1], (int, float)) and not isinstance(e[1], bool)
+          for row in rows[:ragged] for e in row]
+    if not all(ok):
+        # rows are checked in order, each for its length, then its entries
+        i, j = divmod(ok.index(False), ncols)
+        raise ModelError(f"{name}: entry ({i}, {j}) is not a [re, im] pair")
+    if ragged < len(rows):
+        raise ModelError(f"{name}: row {ragged} has {len(rows[ragged])} entries, "
+                         f"expected {ncols}")
+    parts = chain.from_iterable(chain.from_iterable(rows))
+    return np.fromiter(parts, float, 2 * len(rows) * ncols).view(complex).reshape(len(rows), ncols)
 
 
 def _emit(obj, indent, level, pieces):
@@ -86,9 +95,14 @@ def _emit(obj, indent, level, pieces):
     elif isinstance(obj, (float, np.floating)):
         pieces.append(format_float(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _emit(complex_to_pair(obj), indent, level, pieces)
+        _emit([obj.real, obj.imag], indent, level, pieces)
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size and obj.dtype.kind == "c":
+        pair, part = (" " * (indent * (level + k)) for k in (2, 3))
+        cell = f"{pair}[\n{part}%s,\n{part}%s\n{pair}]"
+        pieces.append("[\n" + format_matrix(obj, cell, ",\n", inner + "[\n", "\n" + inner + "]",
+                                            ",\n") + "\n" + pad + "]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), indent, level, pieces)
     elif isinstance(obj, (list, tuple)):

@@ -28,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from ._json import dumps, format_float, matrix_to_lists
+from ._json import dumps, format_float, format_matrix
 from ._linalg import transfer_scalar
 from .errors import PreconditionError, ToolkitError
 from .fockcheck import run_suite
@@ -74,12 +74,12 @@ def _certificate_dict(cert):
         "structure_residual": cert.structure_residual,
         "min_eig": cert.min_eig,
         "qmi_max_eig": cert.qmi_max_eig,
-        "P": matrix_to_lists(cert.P),
+        "P": cert.P,
     }
 
 
 def report_dict(rep):
-    """Every certification-report field, JSON-ready, fixed key order."""
+    """Every certification-report field, ready for `dumps`, fixed key order."""
     return {
         "verdict": rep.verdict,
         "hurwitz": rep.hurwitz,
@@ -123,10 +123,7 @@ def _text_report(d):
                     "min_eig", "qmi_max_eig"):
             lines.append(f"certificate_{key}: {_fmt_scalar(cert[key])}")
         lines.append("certificate_P:")
-        for row in cert["P"]:
-            cells = ", ".join(
-                f"[{format_float(re)}, {format_float(im)}]" for re, im in row)
-            lines.append(f"  {cells}")
+        lines.append(format_matrix(cert["P"], "[%s, %s]", ", ", "  ", "", "\n"))
     return "\n".join(lines) + "\n"
 
 

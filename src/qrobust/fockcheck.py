@@ -24,10 +24,11 @@ The checks covered:
     shape S in {I, b, b^dagger, b^dagger b}, formed on one-mode
     matrices since plant and b-sector operators act on different factors.
 
-No check forms a product of two N^2 x N^2 matrices.  The two-mode
-commutation relations are read row by row off the two-mode ladders,
-which have at most one nonzero entry per row, and the decomposition
-residual is taken from the maxima of its one-mode factors.
+No check forms an N^2 x N^2 matrix.  The two-mode commutation relations
+are read row by row off the two-mode ladders, which have at most one
+nonzero entry per row and are built in that row-sparse form from the
+one-mode ladder, and the decomposition residual is taken from the maxima
+of its one-mode factors.
 
 All residuals returned are relative (scaled by the larger of 1 and the
 magnitude of the quantities compared), so thresholds are plain numbers.
@@ -231,17 +232,22 @@ def check_ccr(n_modes, n):
     truncated ladder pair (only the corner entry is corrupted), and
     operators of different modes commute exactly everywhere.
 
-    The N^2 x N^2 two-mode operators of build_mode_ops have at most one
-    nonzero entry per row, so their commutators are evaluated row by row
-    in O(N^2) and come out equal to the dense products'.
+    The N^2 x N^2 two-mode ladders have at most one nonzero entry per
+    row, so they are built in that form from the one-mode ladder and
+    their commutators are evaluated row by row in O(N^2), equal to the
+    dense products of build_mode_ops(2, n).
     """
-    ops = build_mode_ops(n_modes, n)
-    if n_modes == 1:
+    if n_modes != 2:
+        ops = build_mode_ops(n_modes, n)
         return _rel_residual(_subblock(_comm(ops.a, ops.a.conj().T), n),
                              _subblock(np.eye(n), n))
+    forms, idx = _row_sparse(build_mode_ops(1, n).a), np.arange(n)
+    # row i N + k of a (x) I is row i of a moved to column c_i N + k, and
+    # of I (x) a row k of a moved to column i N + c_k
+    a, a_dag = (((c[:, None] * n + idx).ravel(), np.repeat(v, n)) for c, v in forms)
+    b, b_dag = (((idx[:, None] * n + c).ravel(), np.tile(v, n)) for c, v in forms)
     keep = _window_size(n)
-    kept = (np.arange(keep)[:, None] * n + np.arange(keep)[None, :]).ravel()
-    (a, a_dag), (b, b_dag) = _row_sparse(ops.a), _row_sparse(ops.b)
+    kept = (idx[:keep, None] * n + idx[None, :keep]).ravel()
     worst = max(_identity_residual(_row_commutator(a, a_dag), kept),
                 _identity_residual(_row_commutator(b, b_dag), kept))
     for other in (b, b_dag):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._json import dumps, matrix_to_lists, matrix_from_lists
+from ._json import dumps, matrix_from_lists
 from .errors import DimensionError, ModelError
 
 __all__ = [
@@ -227,8 +227,8 @@ def model_to_json(model):
     return dumps({
         "n_a": model.n_a,
         "n_b": model.n_b,
-        "M": matrix_to_lists(model.M),
-        "N_a": matrix_to_lists(model.N_a),
-        "N_b": matrix_to_lists(model.N_b),
-        "E_tilde": matrix_to_lists(model.E_tilde),
+        "M": model.M,
+        "N_a": model.N_a,
+        "N_b": model.N_b,
+        "E_tilde": model.E_tilde,
     }) + "\n"

@@ -39,7 +39,8 @@ candidate against the strict inequality before accepting it:
     B' = -J E^dagger: its coefficients are Sigma-conjugation symmetric,
     so the stabilizing solution is exactly structured and dominates the
     single-channel inequality, at the price of a stronger feasibility
-    requirement.  The largest shift is tried first, then the smallest:
+    requirement; in quadrature coordinates the equation is real, and it
+    is solved there.  The largest shift is tried first, then the smallest:
     the stabilizing solution of F'P + PF + PRP + Q + eps I = 0 only
     gets easier to have as eps shrinks (Riccati comparison; Zhou, Doyle
     and Glover, Robust and Optimal Control, 1996, ch. 13), so without
@@ -261,6 +262,12 @@ def _solve_two_channel(plant, gamma, eps):
     inequality with margin at least eps.  Feasibility is stronger than
     the certification condition, hence this is a fallback, not the
     primary route.
+
+    With the unitary T = [[I, I], [-iI, iI]] / sqrt 2, T X T^dagger is
+    real for Sigma-invariant X, up to rounding and the model's structure
+    tolerance, so the equation is solved for the real P_r = T P T^dagger
+    by the real Schur factorization.  are_residual is that of the complex
+    equation at P.
     """
     cn = constants(plant.n)
     e = plant.C.conj() @ cn.Sigma  # recover the output row E
@@ -268,8 +275,11 @@ def _solve_two_channel(plant, gamma, eps):
     r = 4.0 * (plant.B @ plant.B.conj().T + b2 @ b2.conj().T)
     q = (_inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C + e.conj().T @ e)
          + eps * np.eye(2 * plant.n))
-    p_raw, residual = riccati_stabilizing(plant.F, r, q)
-    p = _structure_symmetrize(p_raw, cn.Sigma)  # exact up to rounding already
+    t = np.kron([[1.0, 1.0], [-1j, 1j]], np.eye(plant.n)) / math.sqrt(2.0)
+    t_h = t.conj().T
+    p_r, _ = riccati_stabilizing(*((t @ x @ t_h).real for x in (plant.F, r, q)))
+    p = _structure_symmetrize(t_h @ p_r @ t, cn.Sigma)  # exact up to rounding already
+    residual = float(np.abs(plant.F.conj().T @ p + p @ plant.F + p @ r @ p + q).max())
     return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual),
                    _RejectedError)
 

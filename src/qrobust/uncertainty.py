@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._json import dumps, matrix_from_lists, matrix_to_lists
+from ._json import dumps, matrix_from_lists
 from ._linalg import hinf_bisect, lyap, schur
 from .errors import DimensionError, ModelError, NumericError, PreconditionError
 
@@ -189,8 +189,8 @@ def uncertainty_from_json(text):
 
 def uncertainty_to_json(u):
     return dumps({
-        "A_u": matrix_to_lists(np.atleast_2d(np.asarray(u.A_u, dtype=complex))),
-        "B_u": matrix_to_lists(np.asarray(u.B_u, dtype=complex).reshape(-1, 1)),
-        "C_u": matrix_to_lists(np.asarray(u.C_u, dtype=complex).reshape(1, -1)),
-        "NoiseCov": matrix_to_lists(np.atleast_2d(np.asarray(u.noise_cov, dtype=complex))),
+        "A_u": np.atleast_2d(np.asarray(u.A_u, dtype=complex)),
+        "B_u": np.asarray(u.B_u, dtype=complex).reshape(-1, 1),
+        "C_u": np.asarray(u.C_u, dtype=complex).reshape(1, -1),
+        "NoiseCov": np.atleast_2d(np.asarray(u.noise_cov, dtype=complex)),
     }) + "\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qrobust._linalg import (RICCATI_COND_MAX, _cond_inv, hinf_bisect, lyap,
+from qrobust._linalg import (RICCATI_COND_MAX, _cond_inv, _schur, hinf_bisect, lyap,
                              riccati_stabilizing, schur, transfer_scalar)
 from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.fockcheck import random_hermitian_structured
@@ -168,6 +168,46 @@ def test_sorted_schur_matches_scipy_stable_subspace(n):
     stable, stable_ref = u[:, :sdim], u_ref[:, :sdim]
     proj = stable @ stable.conj().T - stable_ref @ stable_ref.conj().T
     assert float(np.abs(proj).max()) <= 1e-12
+
+
+def real_riccati_data(rng, n):
+    """Real A (2n x 2n, Hurwitz), R = -b b^T <= 0 and Q = c^T c + I > 0."""
+    z = rng.normal(size=(2 * n, 2 * n)) / math.sqrt(4 * n)
+    a = z - (float(np.linalg.eigvals(z).real.max()) + rng.uniform(0.5, 2.0)) * np.eye(2 * n)
+    b = rng.normal(size=(2 * n, 2))
+    c = rng.normal(size=(1, 2 * n))
+    return a, -(b @ b.T), c.T @ c + np.eye(2 * n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_real_riccati_matches_the_real_scipy_schur(n):
+    # real A, R and Q take the real Schur factorization: the stable
+    # subspace, its dimension and P = V U^-1 agree with scipy's sorted
+    # real Schur form, and P stays real
+    a, r, q = real_riccati_data(np.random.default_rng(300 + n), n)
+    z = np.block([[a, r], [-q, -a.T]])
+    t, u, sdim = _schur(z, stable_first=True)
+    t_ref, u_ref, sdim_ref = sla.schur(z, output="real", sort="lhp")
+    assert t.dtype == u.dtype == np.float64
+    assert sdim == sdim_ref == 2 * n
+    assert float(np.abs(u @ t @ u.T - z).max()) <= 1e-12 * float(np.abs(z).max())
+    stable, stable_ref = u[:, :sdim], u_ref[:, :sdim]
+    assert float(np.abs(stable @ stable.T - stable_ref @ stable_ref.T).max()) <= 1e-12
+    p_ref = u_ref[2 * n:, :sdim] @ np.linalg.inv(u_ref[:2 * n, :sdim])
+    p, residual = riccati_stabilizing(a, r, q)
+    assert p.dtype == np.float64
+    assert float(np.abs(p - p_ref).max()) <= 1e-12 * float(np.abs(p_ref).max())
+    assert residual == float(np.abs(a.T @ p + p @ a + p @ r @ p + q).max())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_real_riccati_rejects_non_finite_entries(bad):
+    a, r, q = real_riccati_data(np.random.default_rng(7), 2)
+    for k in range(3):
+        args = [a.copy(), r.copy(), q.copy()]
+        args[k][1, 0] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            riccati_stabilizing(*args)
 
 
 def test_cond_inv_matches_numpy():

@@ -412,3 +412,60 @@ def test_certificate_ladder_stops_where_it_cannot_succeed(monkeypatch, n, index,
         route = "infeasible"
     assert route == outcome
     assert len(calls) <= most
+
+
+def complex_two_channel(plant, gamma, eps):
+    """The two-channel rung solved as a complex equation, as it was before
+    the quadrature coordinates: the reference for _solve_two_channel."""
+    cn = constants(plant.n)
+    e = plant.C.conj() @ cn.Sigma
+    b2 = -cn.J @ e.conj().T
+    r = 4.0 * (plant.B @ plant.B.conj().T + b2 @ b2.conj().T)
+    q = (smallgain._inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C + e.conj().T @ e)
+         + eps * np.eye(2 * plant.n))
+    p_raw, residual = smallgain.riccati_stabilizing(plant.F, r, q)
+    p = smallgain._structure_symmetrize(p_raw, cn.Sigma)
+    return smallgain._accept(
+        smallgain._certificate(plant, gamma, p, eps, "two-channel-are", residual),
+        smallgain._RejectedError)
+
+
+def two_channel_draws():
+    """Criterion 5's draws, then loose (gamma = 6 ||H||_inf) n_a = 8 and 16
+    draws that certify through the two-channel rung."""
+    rng = np.random.default_rng(11)
+    for k in range(100):
+        model, plant, _ = draw_stable_plant(rng)
+        yield model, math.inf if k % 2 == 0 else 3.0 * hinf_norm(plant)
+    for n, seed, index in ((8, 1, 0), (8, 1, 1), (8, 1, 2), (8, 2, 0),
+                           (16, 1, 1), (16, 1, 2), (16, 1, 3), (16, 2, 0)):
+        model, gamma = tight_margin_draw(seed, n, index)
+        yield model, 6.0 / 2.1 * gamma
+
+
+def test_two_channel_rung_matches_the_complex_solve(monkeypatch):
+    routes = Counter()
+    for model, gamma in two_channel_draws():
+        rep = certify(model, gamma, 0.3, 0.1)
+        with monkeypatch.context() as patched:
+            patched.setattr(smallgain, "_solve_two_channel", complex_two_channel)
+            ref = certify(model, gamma, 0.3, 0.1)
+        assert (rep.P.route, rep.P.eps) == (ref.P.route, ref.P.eps)
+        routes[(model.n_a > 4, rep.P.route)] += 1
+        if rep.P.route != "two-channel-are":
+            assert rep.P.P.tobytes() == ref.P.P.tobytes()
+            continue
+        p, p_ref = rep.P.P, ref.P.P
+        assert float(np.abs(p - p_ref).max()) <= 1e-12 * float(np.abs(p_ref).max())
+        # are_residual is the residual of the complex equation at P
+        plant = compute_F(model)
+        cn = constants(plant.n)
+        e = plant.C.conj() @ cn.Sigma
+        b2 = -cn.J @ e.conj().T
+        r = 4.0 * (plant.B @ plant.B.conj().T + b2 @ b2.conj().T)
+        q = (smallgain._inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C + e.conj().T @ e)
+             + rep.P.eps * np.eye(2 * plant.n))
+        residual = float(np.abs(plant.F.conj().T @ p + p @ plant.F + p @ r @ p + q).max())
+        assert rep.P.are_residual == residual
+        assert rep.P.are_residual <= 1e-8 * max(1.0, float(np.abs(plant.F).max()))
+    assert routes[(False, "two-channel-are")] == 9 and routes[(True, "two-channel-are")] == 8
