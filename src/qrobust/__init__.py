@@ -21,8 +21,8 @@ from .opa import (OpaParams, build_opa_model, closed_form_quantities,
                   cross_validate, sweep_rows)
 from .smallgain import (COMM_FACTOR, CertificationReport, PlantMatrices,
                         StructuredP, certify, comm_constant, compute_F,
-                        freq_response, hinf_norm, is_hurwitz, ms_bound,
-                        noise_trace, qmi_slack, solve_qmi)
+                        hinf_norm, is_hurwitz, ms_bound, noise_trace,
+                        qmi_slack, solve_qmi)
 from .uncertainty import (LinearUncertainty, from_bilinear_coupling,
                           gain_gamma, qsiqc_params, steady_state_delta1,
                           uncertainty_from_json, uncertainty_to_json)
@@ -36,7 +36,7 @@ __all__ = [
     "QuantumModel", "constants", "structure_residual", "validate_model",
     "model_from_json", "model_to_json",
     "PlantMatrices", "StructuredP", "CertificationReport", "COMM_FACTOR",
-    "compute_F", "is_hurwitz", "freq_response", "hinf_norm", "solve_qmi",
+    "compute_F", "is_hurwitz", "hinf_norm", "solve_qmi",
     "comm_constant", "noise_trace", "qmi_slack", "ms_bound", "certify",
     "LinearUncertainty", "from_bilinear_coupling", "gain_gamma",
     "steady_state_delta1", "qsiqc_params", "uncertainty_from_json",

@@ -156,6 +156,9 @@ def _cmd_freqresp(args):
         scale = 1.0
     if args.points < 2:
         raise PreconditionError(f"need at least 2 grid points, got {args.points}")
+    if not (0 < args.omega_lo < math.inf and 0 < args.omega_hi < math.inf):
+        raise PreconditionError("grid bounds must be finite and positive, "
+                                f"got {args.omega_lo!r} and {args.omega_hi!r}")
     omegas = np.geomspace(args.omega_lo * scale, args.omega_hi * scale,
                           args.points)
     values = transfer_scalar(plant.F, plant.B, plant.C, omegas)

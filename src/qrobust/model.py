@@ -31,6 +31,7 @@ fixed to the identity and never represented.
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "Constants",
     "QuantumModel",
     "constants",
+    "sigma_conjugate",
     "structure_residual",
     "validate_model",
     "model_from_json",
@@ -53,10 +55,13 @@ STRUCTURE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Constants:
-    """Commutation matrix J = diag(I, -I) and block swap Sigma = [[0, I], [I, 0]]."""
+    """Commutation matrix J = diag(I, -I), block swap Sigma = [[0, I], [I, 0]]
+    and quadrature transform T = [[I, I], [-iI, iI]] / sqrt 2 (x -> (q, p)):
+    T is unitary, and T X T^dagger is real iff X is structured (T^# = T Sigma)."""
 
     J: np.ndarray
     Sigma: np.ndarray
+    T: np.ndarray
 
 
 @dataclass
@@ -72,7 +77,7 @@ class QuantumModel:
 
 
 def constants(n):
-    """J and Sigma of size 2n x 2n (exact 0/±1 entries).
+    """J, Sigma (exact 0/±1 entries) and T of size 2n x 2n.
 
     Built once per n and shared: the arrays are read-only, so writing
     into them raises ValueError.
@@ -86,9 +91,10 @@ def constants(n):
 def _constants(n):
     J = np.diag(np.repeat([1.0, -1.0], n))
     Sigma = np.roll(np.eye(2 * n), n, axis=1)
-    J.flags.writeable = False
-    Sigma.flags.writeable = False
-    return Constants(J=J, Sigma=Sigma)
+    T = np.kron([[1.0, 1.0], [-1j, 1j]], np.eye(n)) / math.sqrt(2.0)
+    for x in (J, Sigma, T):
+        x.flags.writeable = False
+    return Constants(J=J, Sigma=Sigma, T=T)
 
 
 def _as_complex_matrix(x, name):
@@ -109,8 +115,8 @@ def _worst_entry(flat):
     return int(i), int(j)
 
 
-def _conj_sym_residual(x):
-    """Sigma_rows . X^# . Sigma_cols - X (rectangular ok).
+def sigma_conjugate(x):
+    """Sigma_rows . X^# . Sigma_cols (rectangular ok).
 
     Multiplying by Sigma swaps the two halves of the rows (on the left)
     or of the columns (on the right), so the product is four block copies.
@@ -124,7 +130,7 @@ def _conj_sym_residual(x):
     y[:h, w:] = x[h:, :w]
     y[h:, :w] = x[:h, w:]
     y[h:, w:] = x[:h, :w]
-    return np.conjugate(y, out=y) - x
+    return np.conjugate(y, out=y)
 
 
 def structure_residual(x, n):
@@ -135,12 +141,12 @@ def structure_residual(x, n):
     x = _as_complex_matrix(x, "X")
     if x.shape != (2 * n, 2 * n):
         raise DimensionError(f"expected a {2*n}x{2*n} matrix, got {x.shape[0]}x{x.shape[1]}")
-    return float(np.abs(_conj_sym_residual(x)).max())
+    return float(np.abs(sigma_conjugate(x) - x).max())
 
 
 def _check_structured(x, name):
     scale = float(np.abs(x).max()) if x.size else 0.0
-    delta = np.abs(_conj_sym_residual(x))
+    delta = np.abs(sigma_conjugate(x) - x)
     res = delta.max()
     if res > STRUCTURE_RTOL * scale:
         raise ModelError(

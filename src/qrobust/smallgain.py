@@ -39,22 +39,23 @@ candidate against the strict inequality before accepting it:
     B' = -J E^dagger: its coefficients are Sigma-conjugation symmetric,
     so the stabilizing solution is exactly structured and dominates the
     single-channel inequality, at the price of a stronger feasibility
-    requirement; in quadrature coordinates the equation is real, and it
-    is solved there.  The largest shift is tried first, then the smallest:
-    the stabilizing solution of F'P + PF + PRP + Q + eps I = 0 only
-    gets easier to have as eps shrinks (Riccati comparison; Zhou, Doyle
-    and Glover, Robust and Optimal Control, 1996, ch. 13), so without
-    one at the smallest shift no shift of this rung can succeed and the
-    search goes straight to rung 3.  Otherwise
-    the shifts in between are tried largest first, whatever way each
-    fails, and the smallest shift's result ends the rung;
+    requirement; in the quadrature coordinates T x (T from
+    model.constants) the equation is real, and it is solved there.  The
+    largest shift is tried first, then the smallest: the stabilizing
+    solution of F'P + PF + PRP + Q + eps I = 0 only gets easier to have
+    as eps shrinks (Riccati comparison; Zhou, Doyle and Glover, Robust
+    and Optimal Control, 1996, ch. 13), so without one at the smallest
+    shift no shift of this rung can succeed and the search goes straight
+    to rung 3.  Otherwise the shifts in between are tried largest first,
+    whatever way each fails, and the smallest shift's result ends the
+    rung;
  3. an exact log-barrier solve of the inequality's Schur-complement form,
-    a linear matrix inequality in the structured parameterization, for
-    the global minimum of its top eigenvalue (route 'eig-opt').  This
-    rung is exact, so its failure is not a stalled search: a positive
-    dual bound proves that no structured certificate exists at this
-    gamma, and InfeasibleError reports it; a minimum within LMI_GAP_TOL
-    of zero is reported as not negative.
+    a linear matrix inequality over the real symmetric matrix
+    T P T^dagger, for the global minimum of its top eigenvalue (route
+    'eig-opt').  This rung is exact, so its failure is not a stalled
+    search: a positive dual bound proves that no structured certificate
+    exists at this gamma, and InfeasibleError reports it; a minimum
+    within LMI_GAP_TOL of zero is reported as not negative.
 
 Every returned certificate records which construction produced it, the
 shift used (0 for the shift-free route), the residual of the equation
@@ -68,10 +69,10 @@ import numpy as np
 
 # lyap is unused here, but perfbench/spans.py wraps smallgain.lyap by name
 from ._linalg import (hermitian_part, hinf_bisect, lyap, riccati_stabilizing,  # noqa: F401
-                      schur, spectral_abscissa, transfer_scalar)
+                      schur, spectral_abscissa)
 from .errors import (DimensionError, InfeasibleError, NumericError,
                      PreconditionError)
-from .model import constants
+from .model import constants, sigma_conjugate
 
 __all__ = [
     "PlantMatrices",
@@ -80,7 +81,6 @@ __all__ = [
     "COMM_FACTOR",
     "compute_F",
     "is_hurwitz",
-    "freq_response",
     "hinf_norm",
     "solve_qmi",
     "comm_constant",
@@ -175,11 +175,6 @@ def is_hurwitz(f, margin_tol=HURWITZ_MARGIN_TOL):
     return abscissa < -margin_tol, abscissa
 
 
-def freq_response(plant, omega):
-    """H(i omega) = C (i omega I - F)^{-1} B as a complex scalar (see transfer_scalar)."""
-    return complex(transfer_scalar(plant.F, plant.B, plant.C, [float(omega)])[0])
-
-
 def hinf_norm(plant, rel_tol=1e-9, schur=None):
     """||H||_inf by the Hamiltonian level-set method, within rel_tol.
 
@@ -203,13 +198,12 @@ def _qmi_lhs(plant, gamma, p):
         + ig2 * (plant.C.conj().T @ plant.C))
 
 
-def _structure_symmetrize(p, sigma):
-    return hermitian_part(0.5 * (p + sigma @ p.conj() @ sigma))
+def _structure_symmetrize(p):
+    return hermitian_part(0.5 * (p + sigma_conjugate(p)))
 
 
 def _certificate(plant, gamma, p, eps, route, are_residual):
-    sigma = constants(plant.n).Sigma
-    struct_res = float(np.abs(sigma @ p.conj() @ sigma - p).max())
+    struct_res = float(np.abs(sigma_conjugate(p) - p).max())
     min_eig = float(np.linalg.eigvalsh(p).min())
     qmi_max = float(np.linalg.eigvalsh(_qmi_lhs(plant, gamma, p)).max())
     return StructuredP(P=p, eps=eps, route=route, are_residual=are_residual,
@@ -248,7 +242,7 @@ def solve_qmi(plant, gamma, eps):
     r = 4.0 * plant.B @ plant.B.conj().T
     q = _inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C) + eps * np.eye(n2)
     p_raw, residual = riccati_stabilizing(plant.F, r, q)
-    p = _structure_symmetrize(p_raw, constants(plant.n).Sigma)
+    p = _structure_symmetrize(p_raw)
     return _accept(_certificate(plant, gamma, p, eps, "shifted-are", residual), _RejectedError)
 
 
@@ -263,10 +257,10 @@ def _solve_two_channel(plant, gamma, eps):
     the certification condition, hence this is a fallback, not the
     primary route.
 
-    With the unitary T = [[I, I], [-iI, iI]] / sqrt 2, T X T^dagger is
-    real for Sigma-invariant X, up to rounding and the model's structure
-    tolerance, so the equation is solved for the real P_r = T P T^dagger
-    by the real Schur factorization.  are_residual is that of the complex
+    With the unitary quadrature transform T of model.constants,
+    T X T^dagger is real for Sigma-invariant X, up to rounding and the
+    model's structure tolerance, so the equation is solved for the real
+    P_r = T P T^dagger by the real Schur factorization.  are_residual is that of the complex
     equation at P.
     """
     cn = constants(plant.n)
@@ -275,40 +269,12 @@ def _solve_two_channel(plant, gamma, eps):
     r = 4.0 * (plant.B @ plant.B.conj().T + b2 @ b2.conj().T)
     q = (_inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C + e.conj().T @ e)
          + eps * np.eye(2 * plant.n))
-    t = np.kron([[1.0, 1.0], [-1j, 1j]], np.eye(plant.n)) / math.sqrt(2.0)
-    t_h = t.conj().T
+    t, t_h = cn.T, cn.T.conj().T
     p_r, _ = riccati_stabilizing(*((t @ x @ t_h).real for x in (plant.F, r, q)))
-    p = _structure_symmetrize(t_h @ p_r @ t, cn.Sigma)  # exact up to rounding already
+    p = _structure_symmetrize(t_h @ p_r @ t)  # exact up to rounding already
     residual = float(np.abs(plant.F.conj().T @ p + p @ plant.F + p @ r @ p + q).max())
     return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual),
                    _RejectedError)
-
-
-def _structured_basis(n):
-    """Real basis of the Hermitian doubled-up class, (2 n^2 + n, 2n, 2n)."""
-    basis = []
-    zero = np.zeros((n, n))
-
-    def assemble(p1, p2):
-        return np.block([[p1, p2], [p2.conj(), p1.conj()]])
-
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(assemble(e, zero))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n)); e[i, j] = 1.0; e[j, i] = 1.0
-            basis.append(assemble(e, zero))
-            e = np.zeros((n, n), dtype=complex); e[i, j] = 1j; e[j, i] = -1j
-            basis.append(assemble(e, zero))
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0; e[j, i] = 1.0
-            basis.append(assemble(zero, e))
-            basis.append(assemble(zero, 1j * e))
-    return np.array(basis, dtype=complex)
 
 
 def _solve_lmi(plant, gamma):
@@ -317,45 +283,62 @@ def _solve_lmi(plant, gamma):
     The Schur complement turns the quadratic inequality into the block
     form [[F'P + PF + C'C/g^2, 2PB], [2B'P, -1]] < 0.  Homogenized in
     (P, tau) as S(P, tau) = [[F'P + PF + tau C'C/g^2, 2PB], [2B'P, -tau]]
-    and restricted to tr P + tau = 1, it is affine in the real
-    coefficients theta of P in the structured basis, and a certificate
+    and restricted to tr P + tau = 1, it is affine in P, and a certificate
     exists iff the minimum of its top eigenvalue is negative (then
     tau > 0 and P / tau is one).  The restriction makes the feasible set
     compact, so the central path stays bounded even where P can grow
     along nearly uncontrollable directions of (F, B) at little cost.
 
+    P is structured iff P_r = T P T^dagger (T from model.constants) is
+    real symmetric, and theta is P_r on and above its diagonal.  The
+    unitary congruence by diag(T, 1) turns S into the matrix with (1,1)
+    block F_r^T P_r + P_r F_r + tau (C T^dagger)^dagger (C T^dagger)/g^2,
+    F_r = T F T^dagger real, and column 2 P_r T B; tr P = tr P_r.  The
+    congruence keeps every eigenvalue, and damped Newton steps are
+    invariant under the linear change of theta between two real bases
+    of the structured class, so iterates, dual point and verdict do not
+    depend on the basis in exact arithmetic.
+
     A primal log-barrier method solves min t subject to S(theta) - tI < 0
     exactly: damped Newton centering on t/mu - log det(tI - S(theta)),
     with mu shrinking from LMI_MU_START by LMI_MU_FACTOR until the
-    duality gap (2n+1) mu is at LMI_GAP_TOL.  Near each center the Newton step gives a dual
-    point Y with tr Y = 1 and tr(Y dS/dtheta_k) = 0; once it is checked
-    positive semidefinite, tr(S(0) Y) is a lower bound on the minimum,
-    and when that bound is positive no structured certificate exists at
-    this gamma and InfeasibleError reports it.  P > 0 needs no separate
+    duality gap (2n+1) mu is at LMI_GAP_TOL.  Near each center the
+    Newton step gives a dual point Y with tr Y = 1 and
+    tr(Y dS/dtheta_k) = 0; once it is checked positive semidefinite,
+    tr(S(0) Y) is a lower bound on the minimum, and when that bound is
+    positive no structured certificate exists at this gamma and
+    InfeasibleError reports it.  P > 0 needs no separate
     constraint: the (1,1) block forces F'P + PF < 0, which for Hurwitz F
     is a Lyapunov certificate of positive definiteness.
 
     The solve runs on the normalized plant F / |F|_2 with gain
     gamma |F|_2, whose inequality is |F|_2^{-2} times the original one
     at P / |F|_2, so it is exactly invariant under time rescaling; the
-    certificate |F|_2 P / tau is re-verified on the original plant.
+    certificate |F|_2 P / tau, P = T^dagger P_r T made exactly structured,
+    is re-verified on the original plant.
     """
     nf = float(np.linalg.norm(plant.F, 2))
-    f = plant.F / nf
+    tq = constants(plant.n).T
+    tq_h = tq.conj().T
+    f_r = (tq @ plant.F @ tq_h).real / nf
     n2 = 2 * plant.n
-    basis = _structured_basis(plant.n)
-    dim = basis.shape[0]
+    rows, cols = np.triu_indices(n2)
+    dim = rows.size
+    basis = np.zeros((dim, n2, n2))  # svec basis of the real symmetric P_r
+    basis[np.arange(dim), rows, cols] = 1.0
+    basis[np.arange(dim), cols, rows] = 1.0
     # tI - S(theta) = sum_k x_k G_k - a0 over x = (theta, t), with
-    # tau = 1 - tr P eliminated
+    # tau = 1 - tr P_r eliminated
+    ct = plant.C @ tq_h
     a0 = np.zeros((n2 + 1, n2 + 1), dtype=complex)
-    a0[:n2, :n2] = _inv_gamma_sq(gamma * nf) * (plant.C.conj().T @ plant.C)
+    a0[:n2, :n2] = _inv_gamma_sq(gamma * nf) * (ct.conj().T @ ct)
     a0[n2, n2] = -1.0
     gens = np.zeros((dim + 1, n2 + 1, n2 + 1), dtype=complex)
-    gens[:dim, :n2, :n2] = -(f.conj().T @ basis + basis @ f)
-    col = -2.0 * (basis @ plant.B)[:, :, 0]
+    gens[:dim, :n2, :n2] = -(f_r.T @ basis + basis @ f_r)
+    col = -2.0 * (basis @ (tq @ plant.B))[:, :, 0]
     gens[:dim, :n2, n2] = col
     gens[:dim, n2, :n2] = col.conj()
-    gens[:dim] += np.trace(basis, axis1=1, axis2=2).real[:, None, None] * a0
+    gens[:dim] += (rows == cols)[:, None, None] * a0
     gens[dim] = np.eye(n2 + 1)
     flat_gens = gens.reshape(dim + 1, -1)
     gram = (flat_gens.conj() @ flat_gens.T).real  # tr(G_k G_l)
@@ -403,8 +386,8 @@ def _solve_lmi(plant, gamma):
         raise InfeasibleError(
             f"the minimum top eigenvalue of the normalized Schur form, {x[dim]:.3e}, "
             "is not negative")
-    p_hat = hermitian_part(np.tensordot(x[:dim], basis, 1))
-    p = nf / (1.0 - float(np.trace(p_hat).real)) * p_hat
+    p_r = np.tensordot(x[:dim], basis, 1)
+    p = nf / (1.0 - float(np.trace(p_r))) * _structure_symmetrize(tq_h @ p_r @ tq)
     return _accept(_certificate(plant, gamma, p, 0.0, "eig-opt", None))
 
 
@@ -497,12 +480,17 @@ def qmi_slack(plant, gamma, p):
     return slack
 
 
+def _check_offsets(delta1, delta2):
+    if not (0 <= delta1 < math.inf and 0 <= delta2 < math.inf):
+        raise PreconditionError(
+            f"constraint offsets must be finite and nonnegative, got {delta1!r} and {delta2!r}")
+
+
 def ms_bound(noise_tr, comm_const, slack, delta1, delta2):
     """Mean-square bound (noise_tr + |comm|^2/4 + delta1 + delta2) / slack."""
-    if slack <= 0:
-        raise PreconditionError(f"slack must be positive, got {slack!r}")
-    if delta1 < 0 or delta2 < 0:
-        raise PreconditionError("constraint offsets must be nonnegative")
+    if not 0 < slack < math.inf:
+        raise PreconditionError(f"slack must be finite and positive, got {slack!r}")
+    _check_offsets(delta1, delta2)
     return (noise_tr + 0.25 * abs(comm_const) ** 2 + delta1 + delta2) / slack
 
 
@@ -516,8 +504,7 @@ def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0):
     step; the slack is the certificate's verified -qmi_max_eig.
     """
     _inv_gamma_sq(gamma)  # validates gamma > 0
-    if delta1 < 0 or delta2 < 0:
-        raise PreconditionError("constraint offsets must be nonnegative")
+    _check_offsets(delta1, delta2)
     plant = compute_F(model)
     t, u, _ = schur(plant.F)
     abscissa = float(t.diagonal().real.max())

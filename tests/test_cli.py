@@ -99,6 +99,16 @@ def test_certify_malformed_json_exits_two(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--delta1", "nan"), ("--delta1", "inf"),
+                                         ("--delta2", "nan"), ("--delta2", "inf")])
+def test_certify_rejects_nonfinite_offset(model_files, capsys, flag, value):
+    stable, _, _ = model_files
+    code = run(["certify", str(stable), "--gamma", "50", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_freqresp_csv(model_files, capsys):
     stable, _, _ = model_files
     code = run(["freqresp", str(stable), "--points", "10"])
@@ -119,6 +129,16 @@ def test_freqresp_output_file(model_files, tmp_path):
                 "--output", str(target)])
     assert code == 0
     assert target.read_text().startswith("omega,re,im,magnitude\n")
+
+
+@pytest.mark.parametrize("flag", ["--omega-lo", "--omega-hi"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_freqresp_rejects_bad_grid_bound(model_files, capsys, flag, value):
+    stable, _, _ = model_files
+    code = run(["freqresp", str(stable), "--points", "8", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_uncertainty_subcommand(model_files, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from qrobust.errors import DimensionError, ModelError
 from qrobust.model import (constants, model_from_json, model_to_json,
-                           structure_residual, validate_model)
+                           sigma_conjugate, structure_residual, validate_model)
 
 
 def opa_matrices(chi=0.1, kappa_a=2.0, kappa_b=4.0, bbar=1.0):
@@ -23,6 +23,19 @@ def test_constants_identities_exact():
         assert np.array_equal(cn.J @ cn.J, eye)
         assert np.array_equal(cn.Sigma @ cn.Sigma, eye)
         assert np.array_equal(cn.Sigma @ cn.J @ cn.Sigma, -cn.J)
+
+
+def test_quadrature_transform_makes_structured_matrices_real():
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 5):
+        cn = constants(n)
+        t = cn.T
+        assert np.allclose(t @ t.conj().T, np.eye(2 * n), rtol=0, atol=1e-15)
+        assert np.allclose(t.conj(), t @ cn.Sigma, rtol=0, atol=0)
+        x = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        structured = x + sigma_conjugate(x)
+        assert np.abs((t @ structured @ t.conj().T).imag).max() <= 1e-14 * np.abs(x).max()
+        assert np.abs((t @ x @ t.conj().T).imag).max() > 0.1
 
 
 def test_structure_residual_examples():
@@ -180,4 +193,6 @@ def test_constants_are_cached_and_read_only():
         cn.J[0, 0] = 5.0
     with pytest.raises(ValueError):
         cn.Sigma[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        cn.T[0, 0] = 5.0
     assert cn.J[0, 0] == 1.0 and cn.Sigma[0, 0] == 0.0

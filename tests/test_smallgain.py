@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from qrobust import smallgain
+from qrobust._linalg import hermitian_part, transfer_scalar
 from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.model import constants, validate_model
 from qrobust.opa import OpaParams, build_opa_model, draw_params
 from qrobust.smallgain import (COMM_FACTOR, EPS_FLOOR_FACTOR, EPS_START_FACTOR,
                                PlantMatrices, _solve_lmi, _solve_two_channel,
-                               certify, comm_constant, compute_F,
-                               freq_response, hinf_norm, is_hurwitz, ms_bound,
-                               noise_trace, qmi_slack, solve_qmi)
+                               certify, comm_constant, compute_F, hinf_norm,
+                               is_hurwitz, ms_bound, noise_trace, qmi_slack,
+                               solve_qmi)
 from qrobust.uncertainty import qsiqc_params
 from test_acceptance import draw_stable_plant
 
@@ -89,15 +90,16 @@ def test_hinf_norm_requires_hurwitz():
 
 
 def test_freq_response_dc_value():
-    h0 = freq_response(flagship_plant(), 0.0)
+    plant = flagship_plant()
+    h0 = transfer_scalar(plant.F, plant.B, plant.C, [0.0])[0]
     assert abs(h0 - (-FLAGSHIP_HINF)) < 1e-12
 
 
 def test_freq_response_bounded_by_hinf():
     plant = flagship_plant()
     bound = hinf_norm(plant)
-    for omega in np.linspace(-8.0, 8.0, 33):
-        assert abs(freq_response(plant, float(omega))) <= bound * (1 + 1e-9)
+    for h in transfer_scalar(plant.F, plant.B, plant.C, np.linspace(-8.0, 8.0, 33)):
+        assert abs(h) <= bound * (1 + 1e-9)
 
 
 def test_solve_qmi_flagship_certificate():
@@ -183,6 +185,14 @@ def test_ms_bound_rejects_nonpositive_slack():
         ms_bound(2.0, 2.0, 0.0, 0.04, 0.0)
 
 
+def test_ms_bound_rejects_nonfinite_inputs():
+    for bad in (math.nan, math.inf):
+        for args in ((2.0, 2.0, bad, 0.04, 0.0), (2.0, 2.0, 1.0, bad, 0.0),
+                     (2.0, 2.0, 1.0, 0.04, bad)):
+            with pytest.raises(PreconditionError):
+                ms_bound(*args)
+
+
 def test_certify_flagship_end_to_end():
     model, _, unc = build_opa_model(FLAGSHIP)
     gamma, delta1, delta2 = qsiqc_params(unc)
@@ -227,6 +237,11 @@ def test_certify_rejects_bad_offsets():
         certify(model, 50.0, -0.1, 0.0)
     with pytest.raises(PreconditionError):
         certify(model, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            certify(model, 50.0, bad, 0.0)
+        with pytest.raises(PreconditionError):
+            certify(model, 50.0, 0.0, bad)
 
 
 def certify_against_stages(model, gamma, delta1, delta2):
@@ -424,7 +439,7 @@ def complex_two_channel(plant, gamma, eps):
     q = (smallgain._inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C + e.conj().T @ e)
          + eps * np.eye(2 * plant.n))
     p_raw, residual = smallgain.riccati_stabilizing(plant.F, r, q)
-    p = smallgain._structure_symmetrize(p_raw, cn.Sigma)
+    p = hermitian_part(0.5 * (p_raw + cn.Sigma @ p_raw.conj() @ cn.Sigma))
     return smallgain._accept(
         smallgain._certificate(plant, gamma, p, eps, "two-channel-are", residual),
         smallgain._RejectedError)
@@ -469,3 +484,130 @@ def test_two_channel_rung_matches_the_complex_solve(monkeypatch):
         assert rep.P.are_residual == residual
         assert rep.P.are_residual <= 1e-8 * max(1.0, float(np.abs(plant.F).max()))
     assert routes[(False, "two-channel-are")] == 9 and routes[(True, "two-channel-are")] == 8
+
+
+def complex_basis_lmi(plant, gamma):
+    """The LMI rung over a complex basis of the doubled-up Hermitian class,
+    as it was before the quadrature coordinates: the reference for
+    _solve_lmi."""
+    n, n2 = plant.n, 2 * plant.n
+    basis = []
+    zero = np.zeros((n, n))
+
+    def assemble(p1, p2):
+        return np.block([[p1, p2], [p2.conj(), p1.conj()]])
+
+    for i in range(n):
+        e = np.zeros((n, n))
+        e[i, i] = 1.0
+        basis.append(assemble(e, zero))
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n)); e[i, j] = 1.0; e[j, i] = 1.0
+            basis.append(assemble(e, zero))
+            e = np.zeros((n, n), dtype=complex); e[i, j] = 1j; e[j, i] = -1j
+            basis.append(assemble(e, zero))
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0; e[j, i] = 1.0
+            basis.append(assemble(zero, e))
+            basis.append(assemble(zero, 1j * e))
+    basis = np.array(basis, dtype=complex)
+    dim = basis.shape[0]
+
+    nf = float(np.linalg.norm(plant.F, 2))
+    f = plant.F / nf
+    a0 = np.zeros((n2 + 1, n2 + 1), dtype=complex)
+    a0[:n2, :n2] = smallgain._inv_gamma_sq(gamma * nf) * (plant.C.conj().T @ plant.C)
+    a0[n2, n2] = -1.0
+    gens = np.zeros((dim + 1, n2 + 1, n2 + 1), dtype=complex)
+    gens[:dim, :n2, :n2] = -(f.conj().T @ basis + basis @ f)
+    col = -2.0 * (basis @ plant.B)[:, :, 0]
+    gens[:dim, :n2, n2] = col
+    gens[:dim, n2, :n2] = col.conj()
+    gens[:dim] += np.trace(basis, axis1=1, axis2=2).real[:, None, None] * a0
+    gens[dim] = np.eye(n2 + 1)
+    flat_gens = gens.reshape(dim + 1, -1)
+    gram = (flat_gens.conj() @ flat_gens.T).real
+
+    x = np.zeros(dim + 1)
+    x[dim] = float(np.linalg.eigvalsh(a0).max()) + 1.0
+    mu = smallgain.LMI_MU_START
+    for _ in range(smallgain.LMI_MAX_STEPS):
+        z = (x @ flat_gens).reshape(n2 + 1, n2 + 1) - a0
+        r_inv = np.linalg.inv(np.linalg.cholesky(z))
+        g = r_inv @ gens @ r_inv.conj().T
+        flat = g.reshape(dim + 1, -1).view(float)
+        grad = -np.trace(g, axis1=1, axis2=2).real
+        grad[dim] += 1.0 / mu
+        step = -np.linalg.solve(flat @ flat.T, grad)
+        dec = -float(grad @ step)
+        if dec > smallgain.LMI_CENTER_TOL:
+            x = x + step / (1.0 + math.sqrt(dec))
+            continue
+        if x[dim] - (n2 + 1) * mu > 0:
+            y = mu * (r_inv.conj().T @ (np.eye(n2 + 1) - np.tensordot(step, g, 1)) @ r_inv)
+            res = (flat_gens.conj() @ y.reshape(-1)).real
+            res[dim] -= 1.0
+            y = y - np.tensordot(np.linalg.solve(gram, res), gens, 1)
+            lower = float(np.trace(a0 @ y).real)
+            if lower > 0 and float(np.linalg.eigvalsh(y).min()) >= 0:
+                raise InfeasibleError(
+                    "no structured certificate exists at this gamma: the top eigenvalue "
+                    f"of the normalized Schur form is at least {lower:.3e}")
+        if mu <= smallgain.LMI_GAP_TOL / (n2 + 1):
+            break
+        mu = max(smallgain.LMI_MU_FACTOR * mu, smallgain.LMI_GAP_TOL / (n2 + 1))
+    if x[dim] >= 0:
+        raise InfeasibleError(
+            f"the minimum top eigenvalue of the normalized Schur form, {x[dim]:.3e}, "
+            "is not negative")
+    p_hat = hermitian_part(np.tensordot(x[:dim], basis, 1))
+    p = nf / (1.0 - float(np.trace(p_hat).real)) * p_hat
+    return smallgain._accept(smallgain._certificate(plant, gamma, p, 0.0, "eig-opt", None))
+
+
+def certify_or_infeasible(model, gamma):
+    try:
+        return certify(model, gamma)
+    except InfeasibleError as exc:
+        return exc
+
+
+def test_lmi_rung_matches_the_complex_basis_solve(monkeypatch):
+    digits = r"-?\d\.\d+e[-+]\d+"
+    routes = Counter()
+    for seed in (5, 9):
+        for n in (1, 2, 4):
+            for index in range(10):
+                model, gamma = tight_margin_draw(seed, n, index)
+                rep = certify_or_infeasible(model, gamma)
+                with monkeypatch.context() as patched:
+                    patched.setattr(smallgain, "_solve_lmi", complex_basis_lmi)
+                    ref = certify_or_infeasible(model, gamma)
+                if isinstance(ref, InfeasibleError):
+                    assert type(rep) is InfeasibleError
+                    # the messages differ at most in the digits of the dual bound
+                    assert re.sub(digits, "#", str(rep)) == re.sub(digits, "#", str(ref))
+                    routes["infeasible"] += 1
+                    continue
+                assert (rep.P.route, rep.P.eps) == (ref.P.route, ref.P.eps)
+                routes[rep.P.route] += 1
+                p, p_ref = rep.P.P, ref.P.P
+                if rep.P.route != "eig-opt":
+                    assert p.tobytes() == p_ref.tobytes()
+                    continue
+                assert float(np.abs(p - p_ref).max()) <= 1e-10 * float(np.abs(p_ref).max())
+                assert abs(rep.ms_bound - ref.ms_bound) <= 1e-10 * ref.ms_bound
+    assert routes["eig-opt"] > 0 and routes["infeasible"] > 0
+
+
+def test_structure_symmetrize_matches_the_sigma_products():
+    rng = np.random.default_rng(4)
+    for n in range(1, 17):
+        sigma = constants(n).Sigma
+        g = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        p = hermitian_part(g)
+        ref = hermitian_part(0.5 * (p + sigma @ p.conj() @ sigma))
+        assert smallgain._structure_symmetrize(p).tobytes() == ref.tobytes()
