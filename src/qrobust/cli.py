@@ -196,10 +196,12 @@ def _cmd_moments(args):
         # diverging second moments: report +inf rather than aborting
         ms_value = math.inf
     satisfied = c_bound is not None and ms_value <= c_bound
+    # integrated before stdout is written, so that a bad --t-final or --dt
+    # leaves no report behind its exit code 2
+    traj = None if args.csv is None else integrate_moments(sys_cl, args.t_final, dt=args.dt)
     sys.stdout.write(dumps({"ms_value": ms_value, "c_bound": c_bound,
                             "satisfied": satisfied}) + "\n")
-    if args.csv is not None:
-        traj = integrate_moments(sys_cl, args.t_final, dt=args.dt)
+    if traj is not None:
         lines = ["t,ms_value"]
         for t, v in zip(traj.t, traj.ms_values):
             lines.append(f"{format_float(float(t))},{format_float(float(v))}")

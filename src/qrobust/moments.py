@@ -18,6 +18,7 @@ propagation are independent computations that meet only in tests and in
 the command-line report.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,8 +207,8 @@ def integrate_moments(sys, T, dt=None, x0=None):
     early (diverged=True) once any entry magnitude exceeds 1e12, which
     is how an unstable loop is reported rather than as an exception.
     """
-    if not (T > 0):
-        raise PreconditionError(f"horizon must be positive, got {T!r}")
+    if not 0 < T < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {T!r}")
     if dt is None:
         rate = abs(spectral_abscissa(sys.A_cl))
         if rate == 0.0:

@@ -96,6 +96,11 @@ def closed_form_quantities(p):
     }
 
 
+def _check_tol(tol):
+    if not 0 < tol < math.inf:
+        raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _rel_err(x, y):
     if x is None or y is None:
         return math.inf
@@ -117,8 +122,9 @@ def cross_validate(p, tol=1e-6):
     boundary band) and the Hurwitz flag unless kappa_a is within tol of
     2 chi |bbar| (the stability boundary band).  Any disagreement
     outside the bands raises NumericError naming the divergent
-    quantities.
+    quantities.  Raises PreconditionError unless 0 < tol < inf.
     """
+    _check_tol(tol)
     chi, ka, kb, abar, bbar = _validated(p)
     closed = closed_form_quantities(p)
     model, g, unc = build_opa_model(p)
@@ -207,8 +213,10 @@ def sweep_rows(count, seed=0, tol=1e-6):
 
     Rows are plain dicts keyed by SWEEP_COLUMNS, already ordered by
     index, ready for CSV emission.  A cross-validation failure does not
-    abort the sweep; the row records agree=False.
+    abort the sweep; the row records agree=False.  Raises
+    PreconditionError unless 0 < tol < inf.
     """
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     rows = []
     all_agree = True

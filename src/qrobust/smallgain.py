@@ -487,11 +487,23 @@ def _check_offsets(delta1, delta2):
 
 
 def ms_bound(noise_tr, comm_const, slack, delta1, delta2):
-    """Mean-square bound (noise_tr + |comm|^2/4 + delta1 + delta2) / slack."""
+    """Mean-square bound (noise_tr + |comm|^2/4 + delta1 + delta2) / slack.
+
+    Raises PreconditionError when the slack is not finite and positive,
+    an offset is not finite and nonnegative, or the bound overflows.
+    """
     if not 0 < slack < math.inf:
         raise PreconditionError(f"slack must be finite and positive, got {slack!r}")
     _check_offsets(delta1, delta2)
-    return (noise_tr + 0.25 * abs(comm_const) ** 2 + delta1 + delta2) / slack
+    comm = abs(comm_const)
+    # a product overflows to inf where a float power would raise OverflowError
+    numerator = noise_tr + 0.25 * comm * comm + delta1 + delta2
+    bound = numerator / slack
+    if not bound < math.inf:
+        raise PreconditionError(
+            f"mean-square bound overflows: numerator {numerator!r} (offsets {delta1!r} "
+            f"and {delta2!r}) over slack {slack!r}")
+    return bound
 
 
 def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0):

@@ -109,6 +109,17 @@ def test_certify_rejects_nonfinite_offset(model_files, capsys, flag, value):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_certify_rejects_offsets_whose_bound_overflows(model_files, capsys):
+    # each offset is finite, but their sum is not
+    stable, _, _ = model_files
+    code = run(["certify", str(stable), "--gamma", "inf",
+                "--delta1", "1e308", "--delta2", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: mean-square bound overflows")
+    assert captured.out == ""
+
+
 def test_freqresp_csv(model_files, capsys):
     stable, _, _ = model_files
     code = run(["freqresp", str(stable), "--points", "10"])
@@ -180,6 +191,28 @@ def test_moments_bad_coupling_exits_two(model_files, capsys):
     code = run(["moments", str(stable), "--coupling", "x"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--t-final", "nan"], ["--t-final", "-1"],
+                                   ["--t-final", "inf"], ["--dt", "0"]])
+def test_moments_bad_horizon_or_step_writes_nothing(model_files, tmp_path, capsys, flags):
+    stable, _, _ = model_files
+    csv_path = tmp_path / "traj.csv"
+    code = run(["moments", str(stable), "--coupling", "0.2,0", "--csv", str(csv_path)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6", "inf"])
+def test_opa_rejects_bad_tolerance(capsys, tol):
+    code = run(["opa", "--chi", "0.1", "--kappa-a", "2", "--kappa-b", "4",
+                "--abar", "1,0", "--bbar", "1,0", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: tol must be positive and finite")
+    assert captured.out == ""
 
 
 def test_opa_point_run(capsys):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from qrobust import _linalg
 from qrobust._linalg import (RICCATI_COND_MAX, _cond_inv, _schur, hinf_bisect, lyap,
                              riccati_stabilizing, schur, transfer_scalar)
 from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.fockcheck import random_hermitian_structured
 from qrobust.model import constants, validate_model
 from qrobust.smallgain import compute_F
+from qrobust.uncertainty import from_bilinear_coupling, qsiqc_params
 
 
 def stable_plant(rng, n):
@@ -242,3 +244,109 @@ def test_riccati_rejects_ill_conditioned_stable_subspace():
             assert cond > RICCATI_COND_MAX
             with pytest.raises(InfeasibleError, match="numerically singular"):
                 riccati_stabilizing(a, r, q)
+
+
+def refined_peak(a, b, c):
+    """sup |H(iw)| by a dense grid around every pole, then zooming in on the
+    three largest local maxima until the bracket is 1e-12 of its centre."""
+    lam = np.linalg.eigvals(a)
+    omegas = np.sort(np.concatenate(
+        [[0.0]] + [l.imag + abs(l.real) * np.linspace(-6, 6, 2001) for l in lam]))
+    mags = np.abs(transfer_scalar(a, b, c, omegas))
+    inner = np.flatnonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])) + 1
+    best = float(mags.max())
+    for k in inner[np.argsort(mags[inner])[-3:]]:
+        lo, hi = omegas[k - 1], omegas[k + 1]
+        while hi - lo > 1e-12 * max(abs(lo), abs(hi), 1.0):
+            grid = np.linspace(lo, hi, 33)
+            vals = np.abs(transfer_scalar(a, b, c, grid))
+            j = int(vals.argmax())
+            best = max(best, float(vals[j]))
+            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
+    return best
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+    solve = _linalg._hamiltonian_eigs
+
+    def counted(ham):
+        calls.append(ham.shape[0])
+        return solve(ham)
+
+    monkeypatch.setattr(_linalg, "_hamiltonian_eigs", counted)
+    return calls
+
+
+def test_hinf_takes_about_one_eigensolve_per_norm(monkeypatch):
+    # the Newton climb reaches the peak before the Hamiltonian test, which
+    # then confirms it; a second solve is needed only where the climb
+    # settles on a lower local peak
+    calls = count_eigensolves(monkeypatch)
+    rng = np.random.default_rng(21)
+    norms = 0
+    for n in (2, 4, 8, 16):
+        for _ in range(10):
+            plant = stable_plant(rng, n)
+            hinf_bisect(plant.F, plant.B, plant.C)
+            norms += 1
+    assert set(calls) == {4 * n for n in (2, 4, 8, 16)}
+    assert len(calls) / norms <= 1.2
+
+
+def test_hinf_of_a_one_pole_response_needs_no_eigensolve(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    rng = np.random.default_rng(22)
+    rel_tol = 1e-9
+    for _ in range(20):
+        a = complex(-rng.uniform(0.01, 10.0), rng.uniform(-5.0, 5.0))
+        b, c = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        h = hinf_bisect(np.array([[a]]), np.array([[b]]), np.array([[c]]), rel_tol=rel_tol)
+        assert h == pytest.approx((1.0 + 0.5 * rel_tol) * abs(c * b) / -a.real, rel=1e-15)
+        assert h >= refined_peak(np.array([[a]]), np.array([[b]]), np.array([[c]]))
+    g, kappa_b = 0.2 - 0.1j, 4.0
+    gamma, _, _ = qsiqc_params(from_bilinear_coupling(g, kappa_b))
+    assert gamma == pytest.approx(kappa_b / (2.0 * abs(g) ** 2), rel=1e-9)
+    assert calls == []
+
+
+def band_pass_pair(omega, damping, gain):
+    """gain s / (s^2 + 2 damping s + omega^2) in companion form: its magnitude
+    peaks at w = omega with value gain / (2 damping)."""
+    a = np.array([[0.0, 1.0], [-omega ** 2, -2.0 * damping]])
+    return a, np.array([[0.0], [1.0]]), np.array([[0.0, gain]])
+
+
+def test_hinf_level_set_finds_the_higher_of_two_peaks(monkeypatch):
+    # a lightly damped pair at w = 1 (peak about 25.5) and a broad one at
+    # w = 10 (peak 26 at w = 10, but 25.0 at the imaginary part 8.66 of its
+    # poles): the best start is the lower peak, the climb stops there, and
+    # the Hamiltonian test at that level exposes the higher one
+    a1, b1, c1 = band_pass_pair(1.0, 0.02, 1.0)
+    a2, b2, c2 = band_pass_pair(10.0, 5.0, 260.0)
+    a = sla.block_diag(a1, a2)
+    b, c = np.vstack([b1, b2]), np.hstack([c1, c2])
+    calls = count_eigensolves(monkeypatch)
+    climbs = []
+    climb = _linalg._climb
+
+    def recorded(*args):
+        climbs.append(climb(*args))
+        return climbs[-1]
+
+    monkeypatch.setattr(_linalg, "_climb", recorded)
+    h = hinf_bisect(a, b, c)
+    peak = refined_peak(a, b, c)
+    assert abs(peak - 26.0) <= 1e-3
+    assert climbs[0] < 25.6 and len(calls) == 2
+    assert peak <= h <= (1.0 + 1e-9) * peak
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_hinf_is_within_rel_tol_above_the_refined_peak(n):
+    rng = np.random.default_rng(400 + n)
+    for rel_tol in (1e-9, 1e-6):
+        plant = stable_plant(rng, n)
+        h = hinf_bisect(plant.F, plant.B, plant.C, rel_tol=rel_tol)
+        peak = refined_peak(plant.F, plant.B, plant.C)
+        assert peak <= h <= (1.0 + rel_tol) * peak

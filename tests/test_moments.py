@@ -136,6 +136,12 @@ def test_plant_diagonal_check_reports_the_first_bad_matrix():
         integrate_moments(flagship_loop(), 1.0, x0=negative)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), -1.0, 0.0, float("inf")])
+def test_integrate_rejects_a_horizon_that_is_not_finite_and_positive(horizon):
+    with pytest.raises(PreconditionError, match="horizon must be positive and finite"):
+        integrate_moments(flagship_loop(), horizon)
+
+
 def test_trajectory_monotone_from_vacuum_flagship():
     sys = flagship_loop()
     traj = integrate_moments(sys, 10.0)

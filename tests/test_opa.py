@@ -67,6 +67,15 @@ def test_invalid_params_rejected():
                       bbar=1.0))
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6, math.inf])
+def test_cross_validation_rejects_bad_tolerance(tol):
+    p = OpaParams(chi=0.1, kappa_a=2.0, kappa_b=4.0, abar=1.0, bbar=1.0)
+    with pytest.raises(PreconditionError, match=r"^tol must be positive and finite, got "):
+        cross_validate(p, tol=tol)
+    with pytest.raises(PreconditionError, match=r"^tol must be positive and finite, got "):
+        sweep_rows(2, seed=1, tol=tol)
+
+
 def test_spectral_abscissa_matches_pole_formula():
     rng = np.random.default_rng(17)
     for _ in range(20):

@@ -193,6 +193,14 @@ def test_ms_bound_rejects_nonfinite_inputs():
                 ms_bound(*args)
 
 
+def test_ms_bound_rejects_finite_inputs_whose_bound_overflows():
+    for args in ((2.0, 2.0, 1.0, 1e308, 1e308), (2.0, 2.0, 1e-10, 1e300, 0.0),
+                 (2.0, 1e155, 1.0, 0.0, 0.0)):
+        with pytest.raises(PreconditionError, match="overflows"):
+            ms_bound(*args)
+    assert ms_bound(2.0, 0.0, 1.0, 1e307, 1e307) == pytest.approx(2e307)
+
+
 def test_certify_flagship_end_to_end():
     model, _, unc = build_opa_model(FLAGSHIP)
     gamma, delta1, delta2 = qsiqc_params(unc)
