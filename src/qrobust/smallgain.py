@@ -26,33 +26,23 @@ block-structured: conjugating the equation by Sigma swaps the input
 Gram J C^dagger C J with the output-side Gram E^dagger E, so the
 symmetrized matrix (P + Sigma P^# Sigma)/2 solves neither equation and
 can lose strict negativity when the margin is thin.  certify()
-therefore tries three constructions, cheapest first, re-verifying every
-candidate against the strict inequality before accepting it:
+therefore makes three attempts, cheapest first, and re-verifies every
+candidate against the strict inequality before accepting it.  The two
+Riccati attempts are fast paths at one shift, eps = EPS_START_FACTOR
+|F|_2; where both fail, the exact third one decides:
 
  1. the shifted equation with symmetrization (the textbook route;
-    accepts the large majority of feasible cases), its shift halved
-    from EPS_START_FACTOR |F|_2 toward EPS_FLOOR_FACTOR |F|_2 while the
-    equation has no stabilizing solution.  Once it solves and the
-    symmetrized matrix fails the check, the rung stops: over the test
-    and benchmark draw sets no smaller shift rescued such a matrix;
- 2. a two-channel shifted equation that adds the Sigma-conjugate channel
-    B' = -J E^dagger: its coefficients are Sigma-conjugation symmetric,
-    so the stabilizing solution is exactly structured and dominates the
-    single-channel inequality, at the price of a stronger feasibility
-    requirement; in the quadrature coordinates T x (T from
-    model.constants) the equation is real, and it is solved there.  The
-    largest shift is tried first, then the smallest: the stabilizing
-    solution of F'P + PF + PRP + Q + eps I = 0 only gets easier to have
-    as eps shrinks (Riccati comparison; Zhou, Doyle and Glover, Robust
-    and Optimal Control, 1996, ch. 13), so without one at the smallest
-    shift no shift of this rung can succeed and the search goes straight
-    to rung 3.  Otherwise the shifts in between are tried largest first,
-    whatever way each fails, and the smallest shift's result ends the
-    rung;
+    accepts the large majority of feasible cases);
+ 2. a two-channel shifted equation that adds the Sigma-conjugate
+    channel B' = -J E^dagger: its coefficients are Sigma-conjugation
+    symmetric, so the stabilizing solution is exactly structured and
+    dominates the single-channel inequality, at the price of a stronger
+    feasibility requirement; in the quadrature coordinates T x (T from
+    model.constants) the equation is real, and it is solved there;
  3. an exact log-barrier solve of the inequality's Schur-complement form,
     a linear matrix inequality over the real symmetric matrix
     T P T^dagger, for the global minimum of its top eigenvalue (route
-    'eig-opt').  This rung is exact, so its failure is not a stalled
+    'eig-opt').  This attempt is exact, so its failure is not a stalled
     search: a positive dual bound proves that no structured certificate
     exists at this gamma, and InfeasibleError reports it; a minimum
     within LMI_GAP_TOL of zero is reported as not negative.
@@ -69,7 +59,7 @@ import numpy as np
 
 # lyap is unused here, but perfbench/spans.py wraps smallgain.lyap by name
 from ._linalg import (hermitian_part, hinf_bisect, lyap, riccati_stabilizing,  # noqa: F401
-                      schur, spectral_abscissa)
+                      schur)
 from .errors import (DimensionError, InfeasibleError, NumericError,
                      PreconditionError)
 from .model import constants, sigma_conjugate
@@ -96,9 +86,8 @@ __all__ = [
 # independent brute-force check.
 COMM_FACTOR = 2.0
 
-HURWITZ_MARGIN_TOL = 1e-9  # strict inequality needs a numerical witness
-EPS_START_FACTOR = 1e-2    # shift ladder: eps from 1e-2 |F|_2 ...
-EPS_FLOOR_FACTOR = 1e-10   # ... halved down to 1e-10 |F|_2
+HURWITZ_MARGIN_TOL = 1e-9  # strict inequality needs a witness: abscissa < -1e-9 |lambda|_max
+EPS_START_FACTOR = 1e-2    # both Riccati attempts shift by eps = 1e-2 |F|_2
 LMI_GAP_TOL = 1e-8         # barrier solve stops once the duality gap (2n+1) mu is this
 LMI_MU_START = 1e-2        # barrier weight mu of the first centering
 LMI_MU_FACTOR = 0.05       # mu shrinks by this factor after each centering
@@ -137,21 +126,21 @@ class StructuredP:
     qmi_max_eig: float
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CertificationReport:
     verdict: str                    # 'certified' | 'gain-violated' | 'not-hurwitz'
     hurwitz: bool
     spectral_abscissa: float
-    hinf: float | None              # None when F is not Hurwitz
+    hinf: float | None = None       # None when F is not Hurwitz
     gamma: float
-    margin: float | None            # gamma/2 - hinf
+    margin: float | None = None     # gamma/2 - hinf
     delta1: float
     delta2: float
-    P: StructuredP | None           # present iff certified
-    comm_constant: complex | None
-    noise_trace: float | None
-    qmi_slack: float | None
-    ms_bound: float | None
+    P: StructuredP | None = None    # present iff certified, as are the rest
+    comm_constant: complex | None = None
+    noise_trace: float | None = None
+    qmi_slack: float | None = None
+    ms_bound: float | None = None
 
 
 def compute_F(model):
@@ -166,13 +155,23 @@ def compute_F(model):
     return PlantMatrices(F=f, B=b, C=c, n=n)
 
 
+def _hurwitz(t, margin_tol):
+    """is_hurwitz on the Schur form T of the drift."""
+    poles = t.diagonal()
+    abscissa = float(poles.real.max())
+    return abscissa < -margin_tol * float(np.abs(poles).max()), abscissa
+
+
 def is_hurwitz(f, margin_tol=HURWITZ_MARGIN_TOL):
-    """(all eigenvalues strictly left of -margin_tol, spectral abscissa)."""
+    """(all eigenvalues strictly left of -margin_tol |lambda|_max, spectral abscissa).
+
+    The margin is relative to the largest eigenvalue modulus, so the test
+    does not depend on the time unit.
+    """
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise DimensionError("drift matrix must be square")
-    abscissa = spectral_abscissa(f)
-    return abscissa < -margin_tol, abscissa
+    return _hurwitz(schur(f)[0], margin_tol)
 
 
 def hinf_norm(plant, rel_tol=1e-9, schur=None):
@@ -211,16 +210,12 @@ def _certificate(plant, gamma, p, eps, route, are_residual):
                        qmi_max_eig=qmi_max)
 
 
-class _RejectedError(InfeasibleError):
-    """The Riccati equation solved, but its structured solution fails the check."""
-
-
-def _accept(cert, error=InfeasibleError):
+def _accept(cert):
     if cert.min_eig <= 0:
-        raise error(
+        raise InfeasibleError(
             f"certificate is not positive definite (min eigenvalue {cert.min_eig:.3e})")
     if cert.qmi_max_eig >= 0:
-        raise error(
+        raise InfeasibleError(
             f"strict inequality fails after structuring (top eigenvalue {cert.qmi_max_eig:.3e})")
     return cert
 
@@ -232,9 +227,9 @@ def solve_qmi(plant, gamma, eps):
     + eps I = 0 by the invariant-subspace method, symmetrizes the result
     into the doubled-up class, and re-verifies the strict inequality
     without the shift.  Raises InfeasibleError when no stabilizing
-    solution exists at this shift, where a smaller shift may have one,
-    or when the symmetrized matrix fails the verification, where the
-    certificate search stops halving.
+    solution exists at this shift or the symmetrized matrix fails the
+    verification; certify() then goes on to the two-channel equation at
+    the same shift, and then to the exact LMI.
     """
     if eps <= 0:
         raise PreconditionError(f"shift must be positive, got {eps!r}")
@@ -243,7 +238,7 @@ def solve_qmi(plant, gamma, eps):
     q = _inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C) + eps * np.eye(n2)
     p_raw, residual = riccati_stabilizing(plant.F, r, q)
     p = _structure_symmetrize(p_raw)
-    return _accept(_certificate(plant, gamma, p, eps, "shifted-are", residual), _RejectedError)
+    return _accept(_certificate(plant, gamma, p, eps, "shifted-are", residual))
 
 
 def _solve_two_channel(plant, gamma, eps):
@@ -273,8 +268,7 @@ def _solve_two_channel(plant, gamma, eps):
     p_r, _ = riccati_stabilizing(*((t @ x @ t_h).real for x in (plant.F, r, q)))
     p = _structure_symmetrize(t_h @ p_r @ t)  # exact up to rounding already
     residual = float(np.abs(plant.F.conj().T @ p + p @ plant.F + p @ r @ p + q).max())
-    return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual),
-                   _RejectedError)
+    return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual))
 
 
 def _solve_lmi(plant, gamma):
@@ -307,9 +301,15 @@ def _solve_lmi(plant, gamma):
     tr(Y dS/dtheta_k) = 0; once it is checked positive semidefinite,
     tr(S(0) Y) is a lower bound on the minimum, and when that bound is
     positive no structured certificate exists at this gamma and
-    InfeasibleError reports it.  P > 0 needs no separate
-    constraint: the (1,1) block forces F'P + PF < 0, which for Hurwitz F
-    is a Lyapunov certificate of positive definiteness.
+    InfeasibleError reports it.  The centering at the last weight starts
+    with t within LMI_GAP_TOL / LMI_MU_FACTOR of the minimum, and there
+    tI - S(theta) can be singular to working precision: a Cholesky
+    factorization fails or the Hessian is indefinite.  The solve then
+    ends at the last iterate with tI - S(theta) > 0, as a converged one
+    would; at an earlier weight such a breakdown raises NumericError.
+    P > 0 needs no separate constraint: the (1,1) block forces
+    F'P + PF < 0, which for Hurwitz F is a Lyapunov certificate of
+    positive definiteness.
 
     The solve runs on the normalized plant F / |F|_2 with gain
     gamma |F|_2, whose inequality is |F|_2^{-2} times the original one
@@ -345,11 +345,12 @@ def _solve_lmi(plant, gamma):
 
     x = np.zeros(dim + 1)
     x[dim] = float(np.linalg.eigvalsh(a0).max()) + 1.0
-    mu = LMI_MU_START
+    mu, mu_end = LMI_MU_START, LMI_GAP_TOL / (n2 + 1)
     try:
         for _ in range(LMI_MAX_STEPS):
             z = (x @ flat_gens).reshape(n2 + 1, n2 + 1) - a0
             r_inv = np.linalg.inv(np.linalg.cholesky(z))
+            last = x  # tI - S(theta) > 0
             g = r_inv @ gens @ r_inv.conj().T  # congruent generators
             flat = g.reshape(dim + 1, -1).view(float)
             grad = -np.trace(g, axis1=1, axis2=2).real
@@ -357,7 +358,7 @@ def _solve_lmi(plant, gamma):
             step = -np.linalg.solve(flat @ flat.T, grad)  # Hessian tr(g_k g_l)
             dec = -float(grad @ step)  # squared Newton decrement
             if not dec >= 0:
-                raise NumericError("LMI barrier Hessian is not positive definite")
+                raise np.linalg.LinAlgError("barrier Hessian is not positive definite")
             if dec > LMI_CENTER_TOL:
                 # damped step: stays inside the Dikin ellipsoid, so tI - S stays > 0
                 x = x + step / (1.0 + math.sqrt(dec))
@@ -375,13 +376,15 @@ def _solve_lmi(plant, gamma):
                     raise InfeasibleError(
                         "no structured certificate exists at this gamma: the top eigenvalue "
                         f"of the normalized Schur form is at least {lower:.3e}")
-            if mu <= LMI_GAP_TOL / (n2 + 1):
+            if mu <= mu_end:
                 break
-            mu = max(LMI_MU_FACTOR * mu, LMI_GAP_TOL / (n2 + 1))
+            mu = max(LMI_MU_FACTOR * mu, mu_end)
         else:
             raise NumericError(f"LMI barrier solve did not converge in {LMI_MAX_STEPS} steps")
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"LMI barrier solve failed: {exc}") from exc
+        if mu > mu_end:
+            raise NumericError(f"LMI barrier solve failed: {exc}") from exc
+    x = last
     if x[dim] >= 0:
         raise InfeasibleError(
             f"the minimum top eigenvalue of the normalized Schur form, {x[dim]:.3e}, "
@@ -392,35 +395,15 @@ def _solve_lmi(plant, gamma):
 
 
 def _qmi_search(plant, gamma):
-    """Route ladder; see the module docstring."""
-    top = EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
-    halvings = int(math.log2(EPS_START_FACTOR / EPS_FLOOR_FACTOR))  # last shift >= the floor
-    shifts = [top * 0.5 ** k for k in range(halvings + 1)]
-    for eps in shifts:
+    """The three attempts of the module docstring."""
+    eps = EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
+    # looked up at call time, so that rebinding a solver by name takes effect
+    for solve in (solve_qmi, _solve_two_channel):
         try:
-            return solve_qmi(plant, gamma, eps)
-        except _RejectedError:
-            break  # the equation solved: halving further does not rescue P
+            return solve(plant, gamma, eps)
         except (InfeasibleError, NumericError):
             pass
-    try:
-        return _solve_two_channel(plant, gamma, shifts[0])
-    except (InfeasibleError, NumericError):
-        pass
-    # without a stabilizing solution at the smallest shift there is none
-    # at any larger one, so no shift of this rung can succeed
-    try:
-        last = _solve_two_channel(plant, gamma, shifts[-1])
-    except _RejectedError:
-        last = None
-    except (InfeasibleError, NumericError):
-        return _solve_lmi(plant, gamma)
-    for eps in shifts[1:-1]:
-        try:
-            return _solve_two_channel(plant, gamma, eps)
-        except (InfeasibleError, NumericError):
-            pass
-    return last if last is not None else _solve_lmi(plant, gamma)
+    return _solve_lmi(plant, gamma)
 
 
 def comm_constant(p, e_tilde):
@@ -519,21 +502,17 @@ def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0):
     _check_offsets(delta1, delta2)
     plant = compute_F(model)
     t, u, _ = schur(plant.F)
-    abscissa = float(t.diagonal().real.max())
-    if not abscissa < -HURWITZ_MARGIN_TOL:
+    hurwitz, abscissa = _hurwitz(t, HURWITZ_MARGIN_TOL)
+    if not hurwitz:
         return CertificationReport(
             verdict="not-hurwitz", hurwitz=False, spectral_abscissa=abscissa,
-            hinf=None, gamma=gamma, margin=None, delta1=delta1, delta2=delta2,
-            P=None, comm_constant=None, noise_trace=None, qmi_slack=None,
-            ms_bound=None)
+            gamma=gamma, delta1=delta1, delta2=delta2)
     hinf = hinf_norm(plant, schur=(t, u))
     margin = gamma / 2.0 - hinf
     if not (hinf < gamma / 2.0):
         return CertificationReport(
             verdict="gain-violated", hurwitz=True, spectral_abscissa=abscissa,
-            hinf=hinf, gamma=gamma, margin=margin, delta1=delta1, delta2=delta2,
-            P=None, comm_constant=None, noise_trace=None, qmi_slack=None,
-            ms_bound=None)
+            hinf=hinf, gamma=gamma, margin=margin, delta1=delta1, delta2=delta2)
     cert = _qmi_search(plant, gamma)
     mu = comm_constant(cert.P, model.E_tilde)
     lam = noise_trace(cert.P, model.N_a)
