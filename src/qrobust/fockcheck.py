@@ -480,6 +480,8 @@ def run_suite(dim, trials, seed):
         raise PreconditionError(f"identity suite needs --dim of at least 20, got {dim}")
     if trials < 1:
         raise PreconditionError(f"--trials must be positive, got {trials}")
+    if seed < 0:
+        raise PreconditionError(f"--seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     rows = []
 

@@ -214,9 +214,13 @@ def sweep_rows(count, seed=0, tol=1e-6):
     Rows are plain dicts keyed by SWEEP_COLUMNS, already ordered by
     index, ready for CSV emission.  A cross-validation failure does not
     abort the sweep; the row records agree=False.  Raises
-    PreconditionError unless 0 < tol < inf.
+    PreconditionError unless 0 < tol < inf and count and seed are
+    nonnegative.
     """
     _check_tol(tol)
+    if count < 0 or seed < 0:
+        raise PreconditionError(
+            f"sweep count and seed must be nonnegative, got {count!r} and {seed!r}")
     rng = np.random.default_rng(seed)
     rows = []
     all_agree = True

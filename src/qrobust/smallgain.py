@@ -13,39 +13,45 @@ The plant seen by the uncertainty is the SISO realization
 
 and certification requires F Hurwitz together with ||H||_inf < gamma/2.
 A certificate is a positive definite Hermitian P with the doubled-up
-block symmetry satisfying the strict inequality
+block symmetry P = Sigma P^# Sigma satisfying the strict inequality
 
     F^dagger P + P F + 4 P B B^dagger P + (1/gamma^2) C^dagger C < 0.
 
 The margin guarantees an unrestricted Hermitian solution (bounded real
 lemma), but the structural constraint is a genuine extra requirement:
 for some multi-mode plants with generic complex output rows the
-structured feasible set is empty even though the margin holds.  The
-stabilizing solution of the shifted Riccati *equation* is generally not
-block-structured: conjugating the equation by Sigma swaps the input
-Gram J C^dagger C J with the output-side Gram E^dagger E, so the
-symmetrized matrix (P + Sigma P^# Sigma)/2 solves neither equation and
-can lose strict negativity when the margin is thin.  certify()
-therefore makes three attempts, cheapest first, and re-verifies every
-candidate against the strict inequality before accepting it.  The two
-Riccati attempts are fast paths at one shift, eps = EPS_START_FACTOR
-|F|_2; where both fail, the exact third one decides:
+structured feasible set is empty even though the margin holds.
 
- 1. the shifted equation with symmetrization (the textbook route;
-    accepts the large majority of feasible cases);
- 2. a two-channel shifted equation that adds the Sigma-conjugate
-    channel B' = -J E^dagger: its coefficients are Sigma-conjugation
-    symmetric, so the stabilizing solution is exactly structured and
-    dominates the single-channel inequality, at the price of a stronger
-    feasibility requirement; in the quadrature coordinates T x (T from
-    model.constants) the equation is real, and it is solved there;
- 3. an exact log-barrier solve of the inequality's Schur-complement form,
-    a linear matrix inequality over the real symmetric matrix
-    T P T^dagger, for the global minimum of its top eigenvalue (route
-    'eig-opt').  This attempt is exact, so its failure is not a stalled
-    search: a positive dual bound proves that no structured certificate
-    exists at this gamma, and InfeasibleError reports it; a minimum
-    within LMI_GAP_TOL of zero is reported as not negative.
+The unitary quadrature transform T of model.constants makes the
+structure real: T Sigma X^# Sigma T^dagger is the complex conjugate of
+T X T^dagger, so for every 2n x 2n matrix X
+
+    T (X + Sigma X^# Sigma) T^dagger = 2 Re(T X T^dagger),
+
+P is structured iff P_r = T P T^dagger is real symmetric, and
+F_r = T F T^dagger is real because F is Sigma-invariant.  certify()
+makes two attempts:
+
+ 1. a fast path (solve_qmi, route 'two-channel-are'): the shifted
+    Riccati equation at eps = EPS_START_FACTOR |F|_2 with B B^dagger and
+    C^dagger C replaced by their Sigma-sums X + Sigma X^# Sigma.  With
+    b_r = T B and c_r = C T^dagger it is the real equation
+
+        F_r^T P_r + P_r F_r + P_r R_r P_r + Q_r = 0,
+        R_r = 8 Re(b_r b_r^dagger),  Q_r = 2 Re(c_r^dagger c_r) / gamma^2 + eps I,
+
+    so P = T^dagger P_r T is structured, and since the Sigma-sum of a
+    positive semidefinite X dominates X, P satisfies the strict
+    inequality with margin at least eps.  The sums add the
+    Sigma-conjugate channel (-J E^dagger, E), so solvability takes more
+    than the margin;
+ 2. an exact log-barrier solve of the inequality's Schur-complement form,
+    a linear matrix inequality over the real symmetric P_r, for the
+    global minimum of its top eigenvalue (route 'eig-opt').  This
+    attempt is exact, so its failure is not a stalled search: a
+    positive dual bound proves that no structured certificate exists at
+    this gamma, and InfeasibleError reports it; a minimum within
+    LMI_GAP_TOL of zero is reported as not negative.
 
 Every returned certificate records which construction produced it, the
 shift used (0 for the shift-free route), the residual of the equation
@@ -87,7 +93,7 @@ __all__ = [
 COMM_FACTOR = 2.0
 
 HURWITZ_MARGIN_TOL = 1e-9  # strict inequality needs a witness: abscissa < -1e-9 |lambda|_max
-EPS_START_FACTOR = 1e-2    # both Riccati attempts shift by eps = 1e-2 |F|_2
+EPS_START_FACTOR = 1e-2    # the Riccati attempt shifts by eps = 1e-2 |F|_2
 LMI_GAP_TOL = 1e-8         # barrier solve stops once the duality gap (2n+1) mu is this
 LMI_MU_START = 1e-2        # barrier weight mu of the first centering
 LMI_MU_FACTOR = 0.05       # mu shrinks by this factor after each centering
@@ -221,53 +227,29 @@ def _accept(cert):
 
 
 def solve_qmi(plant, gamma, eps):
-    """Structured certificate from the shifted Riccati equation at one shift.
+    """Structured certificate from the Sigma-summed Riccati equation at one shift.
 
-    Solves F^dagger P + P F + 4 P B B^dagger P + C^dagger C / gamma^2
-    + eps I = 0 by the invariant-subspace method, symmetrizes the result
-    into the doubled-up class, and re-verifies the strict inequality
-    without the shift.  Raises InfeasibleError when no stabilizing
-    solution exists at this shift or the symmetrized matrix fails the
-    verification; certify() then goes on to the two-channel equation at
-    the same shift, and then to the exact LMI.
+    Solves the real equation of the module docstring by the
+    invariant-subspace method and re-verifies P = T^dagger P_r T against
+    the strict inequality without the shift.  By the Sigma-average
+    identity, R_r and Q_r are T R T^dagger and T Q T^dagger for
+    R = 4 (B B^dagger + B' B'^dagger), Q = (C^dagger C + E^dagger E) /
+    gamma^2 + eps I and B' = -J E^dagger, formed without those complex
+    products.  are_residual is the residual riccati_stabilizing reports
+    for the real equation.  Raises InfeasibleError when no stabilizing
+    solution exists at this shift or P fails the verification; certify()
+    then goes on to the exact LMI.
     """
     if eps <= 0:
         raise PreconditionError(f"shift must be positive, got {eps!r}")
-    n2 = plant.F.shape[0]
-    r = 4.0 * plant.B @ plant.B.conj().T
-    q = _inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C) + eps * np.eye(n2)
-    p_raw, residual = riccati_stabilizing(plant.F, r, q)
-    p = _structure_symmetrize(p_raw)
-    return _accept(_certificate(plant, gamma, p, eps, "shifted-are", residual))
-
-
-def _solve_two_channel(plant, gamma, eps):
-    """Structured certificate from the channel + Sigma-conjugate channel.
-
-    With B' = -J E^dagger the coefficient matrices 4(B B^dagger +
-    B' B'^dagger) and (C^dagger C + E^dagger E)/gamma^2 + eps I are both
-    invariant under Sigma-conjugation, so the stabilizing solution is
-    itself structured (by uniqueness) and satisfies the single-channel
-    inequality with margin at least eps.  Feasibility is stronger than
-    the certification condition, hence this is a fallback, not the
-    primary route.
-
-    With the unitary quadrature transform T of model.constants,
-    T X T^dagger is real for Sigma-invariant X, up to rounding and the
-    model's structure tolerance, so the equation is solved for the real
-    P_r = T P T^dagger by the real Schur factorization.  are_residual is that of the complex
-    equation at P.
-    """
-    cn = constants(plant.n)
-    e = plant.C.conj() @ cn.Sigma  # recover the output row E
-    b2 = -cn.J @ e.conj().T
-    r = 4.0 * (plant.B @ plant.B.conj().T + b2 @ b2.conj().T)
-    q = (_inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C + e.conj().T @ e)
-         + eps * np.eye(2 * plant.n))
-    t, t_h = cn.T, cn.T.conj().T
-    p_r, _ = riccati_stabilizing(*((t @ x @ t_h).real for x in (plant.F, r, q)))
-    p = _structure_symmetrize(t_h @ p_r @ t)  # exact up to rounding already
-    residual = float(np.abs(plant.F.conj().T @ p + p @ plant.F + p @ r @ p + q).max())
+    tq = constants(plant.n).T
+    tq_h = tq.conj().T
+    b_r, c_r = tq @ plant.B, plant.C @ tq_h
+    f_r = (tq @ plant.F @ tq_h).real
+    r_r = 8.0 * (b_r @ b_r.conj().T).real
+    q_r = 2.0 * _inv_gamma_sq(gamma) * (c_r.conj().T @ c_r).real + eps * np.eye(2 * plant.n)
+    p_r, residual = riccati_stabilizing(f_r, r_r, q_r)
+    p = _structure_symmetrize(tq_h @ p_r @ tq)  # exact up to rounding already
     return _accept(_certificate(plant, gamma, p, eps, "two-channel-are", residual))
 
 
@@ -395,14 +377,12 @@ def _solve_lmi(plant, gamma):
 
 
 def _qmi_search(plant, gamma):
-    """The three attempts of the module docstring."""
+    """The two attempts of the module docstring."""
     eps = EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
-    # looked up at call time, so that rebinding a solver by name takes effect
-    for solve in (solve_qmi, _solve_two_channel):
-        try:
-            return solve(plant, gamma, eps)
-        except (InfeasibleError, NumericError):
-            pass
+    try:
+        return solve_qmi(plant, gamma, eps)
+    except (InfeasibleError, NumericError):
+        pass
     return _solve_lmi(plant, gamma)
 
 

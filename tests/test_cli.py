@@ -268,6 +268,21 @@ def test_fockcheck_rejects_small_dim(capsys):
     assert "at least 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["opa", "--chi", "0.1", "--kappa-a", "2", "--kappa-b", "4", "--abar", "1,0",
+     "--bbar", "1,0", "--sweep", "2", "--seed", "-1"],
+    ["opa", "--chi", "0.1", "--kappa-a", "2", "--kappa-b", "4", "--abar", "1,0",
+     "--bbar", "1,0", "--sweep", "-3"],
+    ["fockcheck", "--dim", "20", "--trials", "1", "--seed", "-1"],
+], ids=["opa-seed", "opa-sweep", "fockcheck-seed"])
+def test_negative_seed_or_count_exits_two(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "nonnegative" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_byte_determinism(model_files, capsys):
     stable, unc_path, _ = model_files
     outputs = []

@@ -289,3 +289,5 @@ def test_run_suite_validates_its_arguments():
         run_suite(19, 1, 0)
     with pytest.raises(PreconditionError, match="positive"):
         run_suite(20, 0, 0)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        run_suite(20, 1, -1)

@@ -76,6 +76,12 @@ def test_cross_validation_rejects_bad_tolerance(tol):
         sweep_rows(2, seed=1, tol=tol)
 
 
+@pytest.mark.parametrize("count, seed", [(-3, 0), (2, -1)])
+def test_sweep_rows_rejects_negative_count_or_seed(count, seed):
+    with pytest.raises(PreconditionError, match="must be nonnegative"):
+        sweep_rows(count, seed=seed)
+
+
 def test_spectral_abscissa_matches_pole_formula():
     rng = np.random.default_rng(17)
     for _ in range(20):

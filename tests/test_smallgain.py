@@ -15,9 +15,9 @@ from qrobust.errors import InfeasibleError, NumericError, PreconditionError
 from qrobust.model import constants, validate_model
 from qrobust.opa import OpaParams, build_opa_model, draw_params
 from qrobust.smallgain import (COMM_FACTOR, EPS_START_FACTOR, PlantMatrices,
-                               _solve_lmi, _solve_two_channel, certify,
-                               comm_constant, compute_F, hinf_norm, is_hurwitz,
-                               ms_bound, noise_trace, qmi_slack, solve_qmi)
+                               _solve_lmi, certify, comm_constant, compute_F,
+                               hinf_norm, is_hurwitz, ms_bound, noise_trace,
+                               qmi_slack, solve_qmi)
 from qrobust.uncertainty import from_bilinear_coupling, qsiqc_params
 from test_acceptance import draw_stable_plant
 
@@ -290,19 +290,17 @@ def test_certify_matches_its_stages():
         model, plant, _ = draw_stable_plant(rng)
         gamma = math.inf if k % 2 == 0 else 3.0 * hinf_norm(plant)
         outcomes.append(certify_against_stages(model, gamma, 0.3, 0.1))
-    assert Counter(outcomes) == {("certified", "shifted-are"): 49,
-                                 ("certified", "eig-opt"): 46,
-                                 ("certified", "two-channel-are"): 5}
+    assert Counter(outcomes) == {("certified", "two-channel-are"): 38,
+                                 ("certified", "eig-opt"): 62}
     rng = np.random.default_rng(17)
     outcomes = []
     for _ in range(200):
         model, _, unc = build_opa_model(draw_params(rng))
         outcomes.append(certify_against_stages(model, *qsiqc_params(unc)))
-    assert Counter(outcomes) == {("certified", "shifted-are"): 130,
+    assert Counter(outcomes) == {("certified", "two-channel-are"): 129,
                                  ("not-hurwitz", None): 32,
                                  ("gain-violated", None): 30,
-                                 ("certified", "two-channel-are"): 3,
-                                 ("certified", "eig-opt"): 5}
+                                 ("certified", "eig-opt"): 9}
 
 
 def test_certificate_structure_across_random_certified_instances():
@@ -372,12 +370,27 @@ def test_lmi_rung_is_invariant_under_time_rescaling(index, c):
 FULL_LADDER_FLOOR = 1e-10  # full_ladder's smallest shift, over |F|_2
 
 
+def single_channel(plant, gamma, eps):
+    """The single-channel Riccati rung certify() no longer tries: the
+    stabilizing solution of F^dagger P + P F + 4 P B B^dagger P +
+    C^dagger C / gamma^2 + eps I = 0, symmetrized into the doubled-up
+    class (route 'shifted-are')."""
+    r = 4.0 * plant.B @ plant.B.conj().T
+    q = (smallgain._inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C)
+         + eps * np.eye(2 * plant.n))
+    p_raw, residual = smallgain.riccati_stabilizing(plant.F, r, q)
+    p = smallgain._structure_symmetrize(p_raw)
+    return smallgain._accept(
+        smallgain._certificate(plant, gamma, p, eps, "shifted-are", residual))
+
+
 def full_ladder(plant, gamma):
-    """The certificate search that runs both Riccati rungs over every
-    shift, EPS_START_FACTOR |F|_2 halved down to FULL_LADDER_FLOOR |F|_2,
-    before the LMI rung: the reference for certify()."""
+    """The certificate search that runs the single-channel rung and then
+    solve_qmi over every shift, EPS_START_FACTOR |F|_2 halved down to
+    FULL_LADDER_FLOOR |F|_2, before the LMI rung: the reference for
+    certify()."""
     nf = float(np.linalg.norm(plant.F, 2))
-    for solver in (solve_qmi, _solve_two_channel):
+    for solver in (single_channel, solve_qmi):
         eps = EPS_START_FACTOR * nf
         while eps >= FULL_LADDER_FLOOR * nf:
             try:
@@ -389,9 +402,9 @@ def full_ladder(plant, gamma):
 
 def assert_matches_full_ladder(model, gamma, delta1=0.0, delta2=0.0):
     """certify() against full_ladder(): the same verdict and error message,
-    and the same certificate unless the reference halved the shift, which
-    certify() never does.  Returns (reference route, whether it halved the
-    shift, certify() route)."""
+    and the same certificate unless the reference halved the shift or took
+    the single-channel rung, which certify() never does.  Returns (reference
+    route, whether it halved the shift, certify() route)."""
     plant = compute_F(model)
     try:
         ref = full_ladder(plant, gamma)
@@ -403,9 +416,9 @@ def assert_matches_full_ladder(model, gamma, delta1=0.0, delta2=0.0):
     rep = certify(model, gamma, delta1, delta2)
     assert rep.verdict == "certified"
     halved = ref.eps not in (0.0, EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2)))
-    if halved:
+    if halved or ref.route == "shifted-are":
         assert (rep.P.route, rep.P.eps) != (ref.route, ref.eps)
-        return ref.route, True, rep.P.route
+        return ref.route, halved, rep.P.route
     assert (rep.P.route, rep.P.eps) == (ref.route, ref.eps)
     assert rep.P.P.tobytes() == ref.P.tobytes()
     bound = ms_bound(noise_trace(ref.P, model.N_a), comm_constant(ref.P, model.E_tilde),
@@ -421,10 +434,13 @@ def test_certify_matches_the_full_ladder():
         model, plant, _ = draw_stable_plant(rng)
         gamma = math.inf if k % 2 == 0 else 3.0 * hinf_norm(plant)
         outcomes[assert_matches_full_ladder(model, gamma, 0.3, 0.1)] += 1
-    # the 28 draws whose reference halved a shift all move to the LMI
-    assert outcomes == {("shifted-are", False, "shifted-are"): 49,
-                        ("two-channel-are", False, "two-channel-are"): 5,
+    # the 28 draws whose reference halved a shift all move to the LMI; the
+    # 49 that the single-channel rung took at the top shift move to
+    # solve_qmi or the LMI
+    assert outcomes == {("two-channel-are", False, "two-channel-are"): 5,
                         ("eig-opt", False, "eig-opt"): 18,
+                        ("shifted-are", False, "two-channel-are"): 33,
+                        ("shifted-are", False, "eig-opt"): 16,
                         ("shifted-are", True, "eig-opt"): 24,
                         ("two-channel-are", True, "eig-opt"): 4}
     outcomes = Counter(assert_matches_full_ladder(*tight_margin_draw(5, 2, index))[2]
@@ -438,8 +454,8 @@ def test_certify_matches_the_full_ladder():
 ], ids=["loose-two-channel", "tight-infeasible"])
 def test_certificate_ladder_stops_where_it_cannot_succeed(monkeypatch, n, index, factor,
                                                           outcome):
-    # one Riccati solve per attempt; with both Riccati rungs run over every
-    # shift these take 28 and 54 solves
+    # one Riccati solve, then the LMI; with the single-channel rung and
+    # solve_qmi run over every shift these take 28 and 54 solves
     model, gamma = tight_margin_draw(5, n, index)
     calls = []
     solve = smallgain.riccati_stabilizing
@@ -454,7 +470,7 @@ def test_certificate_ladder_stops_where_it_cannot_succeed(monkeypatch, n, index,
     except InfeasibleError:
         route = "infeasible"
     assert route == outcome
-    assert len(calls) <= 2
+    assert len(calls) <= 1
 
 
 def test_lmi_ends_in_one_outcome_where_its_minimum_is_about_zero():
@@ -495,8 +511,9 @@ def test_hurwitz_margin_scales_with_the_drift(c):
 
 
 def complex_two_channel(plant, gamma, eps):
-    """The two-channel rung solved as a complex equation, as it was before
-    the quadrature coordinates: the reference for _solve_two_channel."""
+    """The Sigma-summed (two-channel) equation solved as a complex
+    equation, as it was before the quadrature coordinates: the reference
+    for solve_qmi."""
     cn = constants(plant.n)
     e = plant.C.conj() @ cn.Sigma
     b2 = -cn.J @ e.conj().T
@@ -511,7 +528,7 @@ def complex_two_channel(plant, gamma, eps):
 
 def two_channel_draws():
     """Criterion 5's draws, then loose (gamma = 6 ||H||_inf) n_a = 8 and 16
-    draws, all but the first of which certify through the two-channel rung."""
+    draws, all but one of the latter of which certify through solve_qmi."""
     rng = np.random.default_rng(11)
     for k in range(100):
         model, plant, _ = draw_stable_plant(rng)
@@ -527,7 +544,7 @@ def test_two_channel_rung_matches_the_complex_solve(monkeypatch):
     for model, gamma in two_channel_draws():
         rep = certify(model, gamma, 0.3, 0.1)
         with monkeypatch.context() as patched:
-            patched.setattr(smallgain, "_solve_two_channel", complex_two_channel)
+            patched.setattr(smallgain, "solve_qmi", complex_two_channel)
             ref = certify(model, gamma, 0.3, 0.1)
         assert (rep.P.route, rep.P.eps) == (ref.P.route, ref.P.eps)
         routes[(model.n_a > 4, rep.P.route)] += 1
@@ -536,20 +553,20 @@ def test_two_channel_rung_matches_the_complex_solve(monkeypatch):
             continue
         p, p_ref = rep.P.P, ref.P.P
         assert float(np.abs(p - p_ref).max()) <= 1e-12 * float(np.abs(p_ref).max())
-        # are_residual is the residual of the complex equation at P
+        # are_residual is the residual of the real equation of the module
+        # docstring, the one riccati_stabilizing solved
         plant = compute_F(model)
-        cn = constants(plant.n)
-        e = plant.C.conj() @ cn.Sigma
-        b2 = -cn.J @ e.conj().T
-        r = 4.0 * (plant.B @ plant.B.conj().T + b2 @ b2.conj().T)
-        q = (smallgain._inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C + e.conj().T @ e)
-             + rep.P.eps * np.eye(2 * plant.n))
-        residual = float(np.abs(plant.F.conj().T @ p + p @ plant.F + p @ r @ p + q).max())
-        assert rep.P.are_residual == residual
+        t = constants(plant.n).T
+        t_h = t.conj().T
+        b_r, c_r = t @ plant.B, plant.C @ t_h
+        f_r = (t @ plant.F @ t_h).real
+        r_r = 8.0 * (b_r @ b_r.conj().T).real
+        q_r = (2.0 * smallgain._inv_gamma_sq(gamma) * (c_r.conj().T @ c_r).real
+               + rep.P.eps * np.eye(2 * plant.n))
+        assert rep.P.are_residual == smallgain.riccati_stabilizing(f_r, r_r, q_r)[1]
         assert rep.P.are_residual <= 1e-8 * max(1.0, float(np.abs(plant.F).max()))
-    assert routes == {(False, "shifted-are"): 49, (False, "two-channel-are"): 5,
-                      (False, "eig-opt"): 46, (True, "two-channel-are"): 7,
-                      (True, "eig-opt"): 1}
+    assert routes == {(False, "two-channel-are"): 38, (False, "eig-opt"): 62,
+                      (True, "two-channel-are"): 7, (True, "eig-opt"): 1}
 
 
 def complex_basis_lmi(plant, gamma):

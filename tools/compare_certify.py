@@ -7,8 +7,9 @@ One subprocess per side certifies, with its own `src/`, `tests/` and
 17, 42, 2026; opa-sweep's 3 000 and loose-multimode's 100 draws at seeds
 1-10; `tight_margin_draw` seeds 5, 9 at n_a = 1, 2, 4, 8 (10 each).  Per
 set it prints the draws whose inputs differ, the verdict changes (errors
-by type), the route moves, the P and ms_bound byte differences of draws
-that kept route and shift, and the moved draws' new/old ms_bound ratios.
+by type), the route moves, per route kept (with its shift) the draws
+whose P or ms_bound bytes differ and the largest relative differences,
+and the moved draws' new/old ms_bound ratios.
 """
 
 import argparse
@@ -76,8 +77,7 @@ def worker():
             rep = certify(model, gamma, d1, d2)
             rec["verdict"] = rep.verdict
             if rep.P is not None:
-                rec.update(route=rep.P.route, eps=rep.P.eps, P=_digest(rep.P.P),
-                           ms_bound=rep.ms_bound)
+                rec.update(route=rep.P.route, eps=rep.P.eps, P=rep.P.P, ms_bound=rep.ms_bound)
         except ToolkitError as exc:
             rec["verdict"] = type(exc).__name__
         out.append(rec)
@@ -114,9 +114,16 @@ def main(argv=None):
               f"{sum(a['input'] != b['input'] for a, b in pairs)} with different inputs, "
               f"{sum(changed.values())} verdict changes {dict(changed)}")
         print(f"  {len(moved)} moved {dict(Counter((a['route'], b['route']) for a, b in moved))}")
-        print(f"  {len(kept)} kept route and shift: P differs on "
-              f"{sum(a['P'] != b['P'] for a, b in kept)}, ms_bound on "
-              f"{sum(a['ms_bound'] != b['ms_bound'] for a, b in kept)}")
+        for route in sorted({a["route"] for a, _ in kept}):
+            same = [(a, b) for a, b in kept if a["route"] == route]
+            dp = max(float(np.abs(b["P"] - a["P"]).max() / np.abs(a["P"]).max())
+                     for a, b in same)
+            db = max(abs(b["ms_bound"] - a["ms_bound"]) / a["ms_bound"] for a, b in same)
+            print(f"  {len(same)} kept {route} and shift: P differs on "
+                  f"{sum(a['P'].tobytes() != b['P'].tobytes() for a, b in same)} "
+                  f"(largest relative {dp:.2g}), ms_bound on "
+                  f"{sum(a['ms_bound'] != b['ms_bound'] for a, b in same)} "
+                  f"(largest relative {db:.2g})")
         if ratios:
             print(f"  moved new/old ms_bound: median {ratios[len(ratios) // 2]:.3g}, "
                   f"range {ratios[0]:.3g}-{ratios[-1]:.3g}")
