@@ -24,8 +24,8 @@ from .smallgain import (COMM_FACTOR, CertificationReport, PlantMatrices,
                         hinf_norm, is_hurwitz, ms_bound, noise_trace,
                         qmi_slack, solve_qmi)
 from .uncertainty import (LinearUncertainty, from_bilinear_coupling,
-                          gain_gamma, qsiqc_params, steady_state_delta1,
-                          uncertainty_from_json, uncertainty_to_json)
+                          qsiqc_params, uncertainty_from_json,
+                          uncertainty_to_json)
 
 __version__ = "0.1.0"
 
@@ -38,9 +38,8 @@ __all__ = [
     "PlantMatrices", "StructuredP", "CertificationReport", "COMM_FACTOR",
     "compute_F", "is_hurwitz", "hinf_norm", "solve_qmi",
     "comm_constant", "noise_trace", "qmi_slack", "ms_bound", "certify",
-    "LinearUncertainty", "from_bilinear_coupling", "gain_gamma",
-    "steady_state_delta1", "qsiqc_params", "uncertainty_from_json",
-    "uncertainty_to_json",
+    "LinearUncertainty", "from_bilinear_coupling", "qsiqc_params",
+    "uncertainty_from_json", "uncertainty_to_json",
     "ClosedLoopSystem", "SecondMomentState", "MomentTrajectory",
     "build_closed_loop", "steady_state_moments", "vacuum_state",
     "integrate_moments", "scalar_damping_rate",

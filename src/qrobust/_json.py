@@ -25,6 +25,7 @@ __all__ = [
     "format_float",
     "format_matrix",
     "matrix_from_lists",
+    "object_from_json",
 ]
 
 
@@ -80,7 +81,41 @@ def matrix_from_lists(rows, name):
         raise ModelError(f"{name}: row {ragged} has {len(rows[ragged])} entries, "
                          f"expected {ncols}")
     parts = chain.from_iterable(chain.from_iterable(rows))
-    return np.fromiter(parts, float, 2 * len(rows) * ncols).view(complex).reshape(len(rows), ncols)
+    try:
+        flat = np.fromiter(parts, float, 2 * len(rows) * ncols)
+    except OverflowError:
+        # only an integer literal can lie beyond the float range: json.loads
+        # already reads an out-of-range float literal as an infinity
+        for k, pair in enumerate(chain.from_iterable(rows)):
+            try:
+                float(pair[0]), float(pair[1])
+            except OverflowError:
+                i, j = divmod(k, ncols)
+                raise ModelError(f"{name}: entry ({i}, {j}) is beyond the floating-point "
+                                 "range") from None
+        raise
+    return flat.view(complex).reshape(len(rows), ncols)
+
+
+def object_from_json(text, what, fields):
+    """Strictly decode a JSON object that holds exactly the given fields.
+
+    what names the input in the messages, e.g. "model file".
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{what} is not valid JSON: line {exc.lineno} column {exc.colno}: "
+                         f"{exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ModelError(f"{what} must contain a JSON object")
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ModelError(f"unknown field(s) in {what}: {', '.join(unknown)}")
+    missing = sorted(set(fields) - set(raw))
+    if missing:
+        raise ModelError(f"missing field(s) in {what}: {', '.join(missing)}")
+    return raw
 
 
 def _emit(obj, indent, level, pieces):

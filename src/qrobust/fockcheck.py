@@ -24,11 +24,11 @@ The checks covered:
     shape S in {I, b, b^dagger, b^dagger b}, formed on one-mode
     matrices since plant and b-sector operators act on different factors.
 
-No check forms an N^2 x N^2 matrix.  The two-mode commutation relations
-are read row by row off the two-mode ladders, which have at most one
-nonzero entry per row and are built in that row-sparse form from the
-one-mode ladder, and the decomposition residual is taken from the maxima
-of its one-mode factors.
+No check forms an N^2 x N^2 matrix.  The two-mode ladders a (x) I and
+I (x) a satisfy [a (x) I, a^dagger (x) I] - I = ([a, a^dagger] - I) (x) I
+entrywise and exactly, and commute with each other exactly, so the
+two-mode commutation residual is the one-mode residual.  The
+decomposition residual is taken from the maxima of its one-mode factors.
 
 All residuals returned are relative (scaled by the larger of 1 and the
 magnitude of the quantities compared), so thresholds are plain numbers.
@@ -37,7 +37,6 @@ table that `qrobust fockcheck` prints.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +46,7 @@ from .model import constants, structure_residual
 from .smallgain import COMM_FACTOR, comm_constant
 
 __all__ = [
-    "ModeOperators",
     "ladder",
-    "build_mode_ops",
     "COEFF_SHAPES",
     "MONOMIALS",
     "COMM_FACTOR_TOL",
@@ -74,16 +71,6 @@ MAX_TWO_MODE_DIM = 40  # largest two-mode truncation level the decomposition che
 COMM_FACTOR_TOL = 1e-8  # spread allowed when arbitrating the constant
 
 
-@dataclass
-class ModeOperators:
-    """Truncated annihilation matrices, tensor-extended when two modes."""
-
-    n_modes: int
-    dim: int          # per-mode truncation level N
-    a: np.ndarray     # plant mode, N x N or N^2 x N^2
-    b: np.ndarray | None  # uncertainty mode, None for a single mode
-
-
 def ladder(n):
     """N x N annihilation matrix: entries sqrt(k) on the superdiagonal."""
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -91,28 +78,11 @@ def ladder(n):
     return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
-def build_mode_ops(n_modes, n):
-    if n_modes not in (1, 2):
-        raise DimensionError(f"n_modes must be 1 or 2, got {n_modes!r}")
-    if n < 4:
-        raise PreconditionError(f"truncation level must be at least 4, got {n!r}")
-    a1 = ladder(n)
-    if n_modes == 1:
-        return ModeOperators(n_modes=1, dim=n, a=a1, b=None)
-    eye = np.eye(n)
-    return ModeOperators(n_modes=2, dim=n, a=np.kron(a1, eye), b=np.kron(eye, a1))
-
-
-def _window_size(n, drop=BOUNDARY_DROP):
-    """Number of states per mode kept clear of the cutoff."""
+def _subblock(mat, n, drop=BOUNDARY_DROP):
+    """mat on the states kept clear of the cutoff."""
     keep = n - drop
     if keep < 1:
         raise PreconditionError(f"truncation level {n} leaves no interior states")
-    return keep
-
-
-def _subblock(mat, n, drop=BOUNDARY_DROP):
-    keep = _window_size(n, drop)
     return mat[:keep, :keep]
 
 
@@ -165,95 +135,25 @@ def _rel_residual(lhs, rhs):
     return float(np.abs(lhs - rhs).max()) / scale
 
 
-def _row_sparse(mat):
-    """Row-sparse forms (cols, vals) of mat and of its adjoint.
-
-    Row i of each form holds vals[i] in column cols[i] and is zero
-    elsewhere (vals[i] = 0 on a zero row).  Raises NumericError unless
-    mat has at most one nonzero entry in every row and every column, as
-    truncated ladders and their tensor extensions do.
-    """
-    dim = mat.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(mat != 0), dim)  # twice as fast as on complex
-    if max(np.bincount(rows, minlength=dim).max(),
-           np.bincount(cols, minlength=dim).max()) > 1:
-        raise NumericError("ladder operator has more than one nonzero entry "
-                           "in a row or column")
-    vals = mat[rows, cols]
-    forms = []
-    for r, c, v in ((rows, cols, vals), (cols, rows, vals.conj())):
-        form_cols, form_vals = np.zeros(dim, dtype=np.intp), np.zeros(dim, dtype=complex)
-        form_cols[r], form_vals[r] = c, v
-        forms.append((form_cols, form_vals))
-    return forms
-
-
-def _row_commutator(x, y):
-    """[X, Y] of row-sparse X and Y as two (cols, vals) entries per row.
-
-    Every entry of XY and YX is a single product, so it equals the entry
-    of the dense product bit for bit.  Where the two rows share a column
-    the difference goes into the first entry and the second is zero.
-    """
-    (cx, vx), (cy, vy) = x, y
-    c1, v1 = cy[cx], vx * vy[cx]
-    c2, v2 = cx[cy], vy * vx[cy]
-    same = c1 == c2
-    return (c1, np.where(same, v1 - v2, v1)), (c2, np.where(same, 0, -v2))
-
-
-def _identity_residual(comm, kept):
-    """_rel_residual of a row commutator against I, both on the kept window.
-
-    kept lists the row (and column) indices of the window.  Besides the
-    two commutator entries, row r of C - I holds -1 in column r, which
-    falls on an entry when one sits there and stands alone otherwise.
-    """
-    dim = comm[0][0].size
-    (c1, m1), (c2, m2) = ((c[kept], m[kept]) for c, m in comm)
-    inside = np.zeros(dim, dtype=bool)
-    inside[kept] = True
-    in1, in2 = inside[c1], inside[c2]
-    on1, on2 = c1 == kept, c2 == kept
-    d1 = m1 - on1
-    d2 = m2 - (on2 & ~on1)
-    scale = max(1.0, float(np.abs(m1[in1]).max(initial=0.0)),
-                float(np.abs(m2[in2]).max(initial=0.0)))
-    worst = max(float(np.abs(d1[in1]).max(initial=0.0)),
-                float(np.abs(d2[in2]).max(initial=0.0)),
-                float((~on1 & ~on2).max()))
-    return worst / scale
-
-
 def check_ccr(n_modes, n):
     """Worst commutation-relation residual on the kept subblock.
 
     [a, a^dagger] = I holds exactly on the first N-1 states of a
-    truncated ladder pair (only the corner entry is corrupted), and
-    operators of different modes commute exactly everywhere.
+    truncated ladder pair (only the corner entry is corrupted).
 
-    The N^2 x N^2 two-mode ladders have at most one nonzero entry per
-    row, so they are built in that form from the one-mode ladder and
-    their commutators are evaluated row by row in O(N^2), equal to the
-    dense products of build_mode_ops(2, n).
+    The same number serves both mode counts.  The two-mode ladders are
+    a (x) I and I (x) a, and [a (x) I, a^dagger (x) I] - I =
+    ([a, a^dagger] - I) (x) I holds entrywise and exactly, as does its
+    mirror for I (x) a, so on the kept window their residual is the
+    one-mode residual.  Each entry of a (x) b is one product, formed in
+    either order, so the cross-mode commutators are exactly 0.
     """
-    if n_modes != 2:
-        ops = build_mode_ops(n_modes, n)
-        return _rel_residual(_subblock(_comm(ops.a, ops.a.conj().T), n),
-                             _subblock(np.eye(n), n))
-    forms, idx = _row_sparse(build_mode_ops(1, n).a), np.arange(n)
-    # row i N + k of a (x) I is row i of a moved to column c_i N + k, and
-    # of I (x) a row k of a moved to column i N + c_k
-    a, a_dag = (((c[:, None] * n + idx).ravel(), np.repeat(v, n)) for c, v in forms)
-    b, b_dag = (((idx[:, None] * n + c).ravel(), np.tile(v, n)) for c, v in forms)
-    keep = _window_size(n)
-    kept = (idx[:keep, None] * n + idx[None, :keep]).ravel()
-    worst = max(_identity_residual(_row_commutator(a, a_dag), kept),
-                _identity_residual(_row_commutator(b, b_dag), kept))
-    for other in (b, b_dag):
-        for _, vals in _row_commutator(a, other):
-            worst = max(worst, float(np.abs(vals).max()))
-    return worst
+    if n_modes not in (1, 2):
+        raise DimensionError(f"n_modes must be 1 or 2, got {n_modes!r}")
+    if n < 4:
+        raise PreconditionError(f"truncation level must be at least 4, got {n!r}")
+    a = ladder(n)
+    return _rel_residual(_subblock(_comm(a, a.conj().T), n), _subblock(np.eye(n), n))
 
 
 def check_double_commutator(p, e_tilde, n=30, drop=BOUNDARY_DROP):
@@ -273,9 +173,9 @@ def check_double_commutator(p, e_tilde, n=30, drop=BOUNDARY_DROP):
     p = _require_structured_p(p)
     e = _require_row(e_tilde)
     _require_drop(n, drop, 10)
-    ops = build_mode_ops(1, n)
-    z = e[0, 0] * ops.a + e[0, 1] * ops.a.conj().T
-    v = _quad_form(p, ops.a)
+    a = ladder(n)
+    z = e[0, 0] * a + e[0, 1] * a.conj().T
+    v = _quad_form(p, a)
     sub = _subblock(_comm(z, _comm(z, v)), n, drop)
     keep = sub.shape[0]
     fock_scalar = complex(np.trace(sub) / keep)
@@ -308,13 +208,13 @@ def check_quadratic_identities(p, m, n_a, n=30, drop=BOUNDARY_DROP):
     if n_a.ndim != 2 or n_a.shape[1] != 2 or n_a.shape[0] % 2 or n_a.shape[0] < 2:
         raise DimensionError(f"N_a must be 2m x 2, got shape {n_a.shape}")
     _require_drop(n, drop, 20)
-    ops = build_mode_ops(1, n)
+    a = ladder(n)
     cn = constants(1)
-    xs = (ops.a, ops.a.conj().T)
-    v = _quad_form(p, ops.a)
+    xs = (a, a.conj().T)
+    v = _quad_form(p, a)
 
-    lhs1 = _comm(v, 0.5 * _quad_form(m, ops.a))
-    rhs1 = _quad_form(p @ cn.J @ m - m @ cn.J @ p, ops.a)
+    lhs1 = _comm(v, 0.5 * _quad_form(m, a))
+    rhs1 = _quad_form(p @ cn.J @ m - m @ cn.J @ p, a)
     r1 = _rel_residual(_subblock(lhs1, n, drop), _subblock(rhs1, n, drop))
 
     mch = n_a.shape[0] // 2
@@ -328,7 +228,7 @@ def check_quadratic_identities(p, m, n_a, n=30, drop=BOUNDARY_DROP):
         lhs2 = lhs2 + 0.5 * (ljd @ _comm(v, lj) + _comm(ljd, v) @ lj)
     trace_term = complex(np.trace(p @ cn.J @ n_a.conj().T @ sel @ n_a @ cn.J))
     quad_part = n_a.conj().T @ jm @ n_a @ cn.J @ p + p @ cn.J @ n_a.conj().T @ jm @ n_a
-    rhs2 = trace_term * np.eye(v.shape[0]) - 0.5 * _quad_form(quad_part, ops.a)
+    rhs2 = trace_term * np.eye(v.shape[0]) - 0.5 * _quad_form(quad_part, a)
     r2 = _rel_residual(_subblock(lhs2, n, drop), _subblock(rhs2, n, drop))
 
     two_jp = 2.0 * cn.J @ p

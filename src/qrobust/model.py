@@ -30,13 +30,12 @@ fixed to the identity and never represented.
 """
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._json import dumps, matrix_from_lists
+from ._json import dumps, matrix_from_lists, object_from_json
 from .errors import DimensionError, ModelError
 
 __all__ = [
@@ -207,20 +206,7 @@ def model_from_json(text):
 
     Unknown fields are rejected; complex entries must be [re, im] pairs.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(
-            f"model file is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(raw, dict):
-        raise ModelError("model file must contain a JSON object")
-    unknown = sorted(set(raw) - set(_MODEL_FIELDS))
-    if unknown:
-        raise ModelError(f"unknown field(s) in model file: {', '.join(unknown)}")
-    missing = sorted(set(_MODEL_FIELDS) - set(raw))
-    if missing:
-        raise ModelError(f"missing field(s) in model file: {', '.join(missing)}")
+    raw = object_from_json(text, "model file", _MODEL_FIELDS)
     for key in ("n_a", "n_b"):
         if not isinstance(raw[key], int) or isinstance(raw[key], bool) or raw[key] < 1:
             raise ModelError(f"{key} must be a positive integer")

@@ -55,7 +55,12 @@ def _validated(p):
     for name, val in (("chi", chi), ("kappa_a", ka), ("kappa_b", kb)):
         if not (val > 0) or not math.isfinite(val):
             raise PreconditionError(f"{name} must be a positive finite rate, got {val!r}")
-    return chi, ka, kb, complex(p.abar), complex(p.bbar)
+    abar, bbar = complex(p.abar), complex(p.bbar)
+    for name, val in (("abar", abar), ("bbar", bbar)):
+        # abs of a complex raises OverflowError where hypot returns inf
+        if not math.isfinite(math.hypot(val.real, val.imag)):
+            raise PreconditionError(f"{name} must be a finite amplitude, got {val!r}")
+    return chi, ka, kb, abar, bbar
 
 
 def build_opa_model(p):
@@ -78,8 +83,9 @@ def closed_form_quantities(p):
     constraint).
     """
     chi, ka, kb, abar, bbar = _validated(p)
-    aa = abs(abar) ** 2
-    bb = abs(bbar) ** 2
+    # a product overflows to inf where a float power would raise OverflowError
+    aa = abs(abar) * abs(abar)
+    bb = abs(bbar) * abs(bbar)
     hurwitz = ka > 2.0 * chi * abs(bbar)
     g_norm = 8.0 * chi * chi * aa / kb
     lhs = 4.0 * chi * chi * (8.0 * (ka / kb) * aa + bb)

@@ -21,21 +21,18 @@ C_u = -i g^*, noise covariance kappa_b, hence gamma = kappa_b / (2|g|^2)
 and delta1 = |g|^2.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._json import dumps, matrix_from_lists
+from ._json import dumps, matrix_from_lists, object_from_json
 from ._linalg import hinf_bisect, lyap, schur
 from .errors import DimensionError, ModelError, NumericError, PreconditionError
 
 __all__ = [
     "LinearUncertainty",
     "from_bilinear_coupling",
-    "gain_gamma",
-    "steady_state_delta1",
     "qsiqc_params",
     "uncertainty_from_json",
     "uncertainty_to_json",
@@ -124,32 +121,14 @@ def _delta1(a, c, w, tu):
     return max(value.real, 0.0)
 
 
-def gain_gamma(u, rel_tol=1e-9):
-    """gamma = 1 / ||C_u (sI - A_u)^{-1} B_u||_inf, or +inf for a zero channel.
-
-    This is the largest gain parameter for which the uncertainty
-    satisfies its sector constraint; callers may certify against any
-    smaller value.  The norm comes from the Hamiltonian level-set
-    method (see qrobust._linalg.hinf_bisect) and is within rel_tol of
-    an attained response value.  Raises PreconditionError when A_u is
-    not Hurwitz.
-    """
-    a, b, c, _ = _validate(u)
-    return _gain(a, b, c, rel_tol, _hurwitz_schur(a))
-
-
-def steady_state_delta1(u):
-    """Zero-input steady-state covariance of w: C_u X C_u^dagger.
-
-    X is the solution of A_u X + X A_u^dagger + NoiseCov = 0, which is
-    Hermitian PSD for a Hurwitz drift.
-    """
-    a, _, c, w = _validate(u)
-    return _delta1(a, c, w, _hurwitz_schur(a))
-
-
 def qsiqc_params(u, rel_tol=1e-9):
     """(gamma, delta1, delta2) for the two sector constraints.
+
+    gamma = 1 / ||C_u (sI - A_u)^{-1} B_u||_inf, or +inf for a zero
+    channel, is the largest gain parameter the block satisfies; the norm
+    is within rel_tol of an attained response value.  delta1 = C_u X
+    C_u^dagger, with X the steady covariance solving A_u X + X A_u^dagger
+    + NoiseCov = 0.  Raises PreconditionError when A_u is not Hurwitz.
 
     The block is validated, and A_u factored and tested for Hurwitz,
     once; the H-infinity norm and the Lyapunov solve share that Schur
@@ -166,20 +145,7 @@ _UNC_FIELDS = ("A_u", "B_u", "C_u", "NoiseCov")
 
 def uncertainty_from_json(text):
     """Parse a strict uncertainty file holding A_u, B_u, C_u, NoiseCov."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(
-            f"uncertainty file is not valid JSON: line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ModelError("uncertainty file must contain a JSON object")
-    unknown = sorted(set(raw) - set(_UNC_FIELDS))
-    if unknown:
-        raise ModelError(f"unknown field(s) in uncertainty file: {', '.join(unknown)}")
-    missing = sorted(set(_UNC_FIELDS) - set(raw))
-    if missing:
-        raise ModelError(f"missing field(s) in uncertainty file: {', '.join(missing)}")
+    raw = object_from_json(text, "uncertainty file", _UNC_FIELDS)
     mats = {key: matrix_from_lists(raw[key], key) for key in _UNC_FIELDS}
     u = LinearUncertainty(A_u=mats["A_u"], B_u=mats["B_u"], C_u=mats["C_u"],
                           noise_cov=mats["NoiseCov"])

@@ -120,6 +120,23 @@ def test_certify_rejects_offsets_whose_bound_overflows(model_files, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("which, field, argv", [
+    (0, "M", ["certify", "{model}"]),
+    (1, "B_u", ["uncertainty", "{unc}"]),
+    (1, "NoiseCov", ["certify", "{model}", "--uncertainty", "{unc}"]),
+], ids=["model", "uncertainty", "certify-uncertainty"])
+def test_integer_beyond_float_range_exits_two(model_files, capsys, which, field, argv):
+    path = model_files[which]
+    doc = json.loads(path.read_text())
+    doc[field][0][0][1] = -(10 ** 400)
+    path.write_text(json.dumps(doc))
+    code = run([a.format(model=model_files[0], unc=model_files[1]) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {field}: entry (0, 0) is beyond the floating-point range\n"
+    assert captured.out == ""
+
+
 def test_freqresp_csv(model_files, capsys):
     stable, _, _ = model_files
     code = run(["freqresp", str(stable), "--points", "10"])
@@ -212,6 +229,18 @@ def test_opa_rejects_bad_tolerance(capsys, tol):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: tol must be positive and finite")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("abar, bbar", [("1e200,0", "1,0"), ("1,0", "inf,0"), ("1,0", "nan,0")],
+                         ids=["abar-1e200", "bbar-inf", "bbar-nan"])
+def test_opa_overflowing_or_nonfinite_amplitude_exits_two(capsys, abar, bbar):
+    code = run(["opa", "--chi", "0.1", "--kappa-a", "2", "--kappa-b", "4",
+                "--abar", abar, "--bbar", bbar])
+    captured = capsys.readouterr()
+    assert code == 2
+    # overflow notes may come first; the last line is the error
+    assert captured.err.splitlines()[-1].startswith("error:")
     assert captured.out == ""
 
 

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from qrobust._json import dumps, format_float, format_matrix, matrix_from_lists
 from qrobust.errors import ModelError
 from qrobust.model import model_from_json
+from qrobust.uncertainty import uncertainty_from_json
 
 # ---------------------------------------------------------------- reference
 # The codec as it was before matrices went through it one array at a time:
@@ -202,6 +203,7 @@ def with_entry(i, j, entry):
     (with_entry(0, 1, [1.0, 2.0, 3.0]), "M: entry (0, 1) is not a [re, im] pair"),
     (with_entry(0, 0, 1.0), "M: entry (0, 0) is not a [re, im] pair"),
     (with_entry(0, 0, None), "M: entry (0, 0) is not a [re, im] pair"),
+    (with_entry(1, 0, [1.0, -(10 ** 400)]), "M: entry (1, 0) is beyond the floating-point range"),
     ([BASE[0], BASE[1][:1]], "M: row 1 has 1 entries, expected 2"),
     ([BASE[0], BASE[1] + [[1.0, 1.0]]], "M: row 1 has 3 entries, expected 2"),
     # rows are checked in order, each for its length before its entries
@@ -212,7 +214,7 @@ def with_entry(i, j, entry):
     ([[[1.0, 0.0]], "row"], "M: expected a non-empty nested array of [re, im] pairs"),
     ({"re": 1.0}, "M: expected a non-empty nested array of [re, im] pairs"),
 ], ids=["bool", "bool-imaginary", "string", "nested-list", "one-element", "three-element",
-        "bare-number", "null", "ragged-short", "ragged-long", "entry-before-ragged",
+        "bare-number", "null", "beyond-float", "ragged-short", "ragged-long", "entry-before-ragged",
         "ragged-before-entry", "empty", "empty-row", "row-not-a-list", "object"])
 def test_decoder_messages(rows, message):
     with pytest.raises(ModelError) as info:
@@ -235,3 +237,20 @@ def test_model_file_messages_name_the_field():
            "E_tilde": [[[1.0, 0.0], [0.0, 0.0]]]}
     with pytest.raises(ModelError, match=r"^N_a: row 1 has 1 entries, expected 2$"):
         model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("parse, what, fields", [
+    (model_from_json, "model file", "E_tilde, M, N_a, N_b, n_a, n_b"),
+    (uncertainty_from_json, "uncertainty file", "A_u, B_u, C_u, NoiseCov"),
+], ids=["model", "uncertainty"])
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 1,', "{what} is not valid JSON: line 1 column 9: "
+                 "Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "{what} must contain a JSON object"),
+    ('{"zeta": 1, "alpha": 2}', "unknown field(s) in {what}: alpha, zeta"),
+    ("{}", "missing field(s) in {what}: {fields}"),
+], ids=["not-json", "not-object", "unknown", "missing"])
+def test_file_reader_messages(parse, what, fields, text, message):
+    with pytest.raises(ModelError) as info:
+        parse(text)
+    assert str(info.value) == message.format(what=what, fields=fields)

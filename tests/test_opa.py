@@ -67,6 +67,25 @@ def test_invalid_params_rejected():
                       bbar=1.0))
 
 
+@pytest.mark.parametrize("abar, bbar", [
+    (1.0, math.inf), (1.0, math.nan), (complex(math.nan, 1.0), 1.0),
+    (complex(1.5e308, 1.5e308), 1.0)], ids=["inf", "nan", "nan-real", "modulus-overflows"])
+def test_nonfinite_amplitudes_rejected(abar, bbar):
+    p = OpaParams(chi=0.1, kappa_a=2.0, kappa_b=4.0, abar=abar, bbar=bbar)
+    with pytest.raises(PreconditionError, match="must be a finite amplitude"):
+        closed_form_quantities(p)
+
+
+def test_closed_forms_square_large_amplitudes_without_raising():
+    # |abar|^2 = 1e400 is beyond the float range: the gain channel's norm
+    # is infinite, so gamma is 0 and nothing certifies
+    q = closed_form_quantities(
+        OpaParams(chi=0.1, kappa_a=2.0, kappa_b=4.0, abar=1e200, bbar=1.0))
+    assert q["G_norm"] == math.inf and q["gamma"] == 0.0
+    assert q["delta1"] == math.inf
+    assert not q["certified"]
+
+
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6, math.inf])
 def test_cross_validation_rejects_bad_tolerance(tol):
     p = OpaParams(chi=0.1, kappa_a=2.0, kappa_b=4.0, abar=1.0, bbar=1.0)

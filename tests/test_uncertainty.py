@@ -8,8 +8,7 @@ import pytest
 
 from qrobust.errors import ModelError, PreconditionError
 from qrobust.uncertainty import (LinearUncertainty, from_bilinear_coupling,
-                                 gain_gamma, qsiqc_params,
-                                 steady_state_delta1, uncertainty_from_json,
+                                 qsiqc_params, uncertainty_from_json,
                                  uncertainty_to_json)
 
 
@@ -30,25 +29,23 @@ def test_flagship_sector_parameters():
 
 def test_gamma_scaling_with_damping():
     g = 0.37 - 0.12j
-    g1 = gain_gamma(from_bilinear_coupling(g, 1.5))
-    g2 = gain_gamma(from_bilinear_coupling(g, 3.0))
+    g1 = qsiqc_params(from_bilinear_coupling(g, 1.5))[0]
+    g2 = qsiqc_params(from_bilinear_coupling(g, 3.0))[0]
     assert g2 == pytest.approx(2.0 * g1, rel=1e-8)
 
 
 def test_delta1_independent_of_damping():
     g = 0.37 - 0.12j
-    d1 = steady_state_delta1(from_bilinear_coupling(g, 1.5))
-    d2 = steady_state_delta1(from_bilinear_coupling(g, 3.0))
+    d1 = qsiqc_params(from_bilinear_coupling(g, 1.5))[1]
+    d2 = qsiqc_params(from_bilinear_coupling(g, 3.0))[1]
     assert d1 == pytest.approx(abs(g) ** 2, rel=1e-10)
     assert d2 == pytest.approx(d1, rel=1e-10)
 
 
 def test_coupling_scaling():
     g = 0.4 + 0.1j
-    base_gamma = gain_gamma(from_bilinear_coupling(g, 2.0))
-    base_delta = steady_state_delta1(from_bilinear_coupling(g, 2.0))
-    dbl_gamma = gain_gamma(from_bilinear_coupling(2 * g, 2.0))
-    dbl_delta = steady_state_delta1(from_bilinear_coupling(2 * g, 2.0))
+    base_gamma, base_delta, _ = qsiqc_params(from_bilinear_coupling(g, 2.0))
+    dbl_gamma, dbl_delta, _ = qsiqc_params(from_bilinear_coupling(2 * g, 2.0))
     assert dbl_gamma == pytest.approx(base_gamma / 4.0, rel=1e-8)
     assert dbl_delta == pytest.approx(4.0 * base_delta, rel=1e-10)
 
@@ -70,9 +67,7 @@ def test_unstable_internal_dynamics_rejected():
     u = LinearUncertainty(A_u=np.array([[0.5]]), B_u=np.array([[1.0]]),
                           C_u=np.array([[1.0]]), noise_cov=np.array([[1.0]]))
     with pytest.raises(PreconditionError):
-        gain_gamma(u)
-    with pytest.raises(PreconditionError):
-        steady_state_delta1(u)
+        qsiqc_params(u)
 
 
 def test_noise_cov_must_be_psd():
