@@ -41,7 +41,6 @@ from .errors import InfeasibleError, NumericError, PreconditionError
 __all__ = [
     "hermitian_part",
     "schur",
-    "spectral_abscissa",
     "lyap",
     "riccati_stabilizing",
     "transfer_scalar",
@@ -63,6 +62,8 @@ POLE_RTOL = 1e-13
 RICCATI_RTOL = 1e-8
 # largest condition number of the stable-subspace block U that is inverted
 RICCATI_COND_MAX = 1e12
+# entrywise residual allowed for a Lyapunov solve, relative to |Q|_max
+LYAP_RTOL = 1e-10
 
 
 def hermitian_part(x):
@@ -110,18 +111,13 @@ def _factored(a, tu):
     return t, u
 
 
-def spectral_abscissa(a):
-    """Largest real part of the eigenvalues of a, from its Schur diagonal."""
-    return float(schur(a)[0].diagonal().real.max())
-
-
-def lyap(a, q, rtol=1e-10, schur=None):
+def lyap(a, q, schur=None):
     """Solve a X + X a^dagger + q = 0 and verify the residual.
 
     Bartels-Stewart on the Schur form a = U T U^dagger (passed as
     schur=(T, U), or computed here): one `ztrsyl` call solves
     T Y + Y T^dagger = -U^dagger q U, and X = U Y U^dagger.  The residual
-    check is entrywise, relative to |q|_max.
+    must be entrywise within LYAP_RTOL |q|_max, else NumericError.
     """
     a = np.asarray(a, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -133,9 +129,9 @@ def lyap(a, q, rtol=1e-10, schur=None):
     x = (u @ y @ u.conj().T) / scale
     bound = max(float(np.abs(q).max()), 1e-300)
     res = float(np.abs(a @ x + x @ a.conj().T + q).max())
-    if not res <= rtol * bound:
+    if not res <= LYAP_RTOL * bound:
         raise NumericError(
-            f"Lyapunov solve residual {res:.3e} exceeds {rtol:.0e} x |Q|_max; "
+            f"Lyapunov solve residual {res:.3e} exceeds {LYAP_RTOL:.0e} x |Q|_max; "
             "the drift is likely too close to instability")
     return x
 

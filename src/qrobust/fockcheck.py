@@ -66,7 +66,6 @@ BOUNDARY_DROP = 4
 COEFF_SHAPES = ("I", "b", "b_dag", "b_dag_b")
 # every monomial degree pair the decomposition check supports
 MONOMIALS = tuple((k, l) for k in range(4) for l in range(4) if k + l <= 3)
-MAX_TWO_MODE_DIM = 40  # largest two-mode truncation level the decomposition check accepts
 
 COMM_FACTOR_TOL = 1e-8  # spread allowed when arbitrating the constant
 
@@ -261,7 +260,7 @@ def check_generator_decomposition(k, l, shape, p, e_tilde, n=20, drop=BOUNDARY_D
     Kronecker products of the kept one-mode blocks.  Every entry of
     kron(X, S_b) is x_ij s_kl, so the maxima of the two sides and of
     their difference are one-mode maxima times max|S_b|, and no
-    Kronecker product is formed.
+    Kronecker product is formed, so any n >= 16 costs N x N products.
     """
     if not isinstance(k, (int, np.integer)) or not isinstance(l, (int, np.integer)) \
             or k < 0 or l < 0:
@@ -270,9 +269,6 @@ def check_generator_decomposition(k, l, shape, p, e_tilde, n=20, drop=BOUNDARY_D
         raise PreconditionError(f"unsupported monomial degree k + l = {k + l}, maximum is 3")
     if shape not in COEFF_SHAPES:
         raise PreconditionError(f"unknown coefficient shape {shape!r}, expected one of {COEFF_SHAPES}")
-    if not 16 <= n <= MAX_TWO_MODE_DIM:
-        raise PreconditionError(
-            f"two-mode truncation level must be in [16, {MAX_TWO_MODE_DIM}], got {n!r}")
     _require_drop(n, drop, 16)
     p = _require_structured_p(p)
     e = _require_row(e_tilde)

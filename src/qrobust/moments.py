@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import lyap, schur, spectral_abscissa
+from ._linalg import lyap, schur
 from .errors import DimensionError, ModelError, PreconditionError
 from .model import constants
 
@@ -169,20 +169,20 @@ def vacuum_state(sys):
                                    np.ones(sys.n_b), np.zeros(sys.n_b)])).astype(complex)
 
 
-def _step_maps(a, d, h, count):
+def _step_maps(a, d, h, speed, count):
     """Stacks of the exact j-step maps X <- Phi_j X Phi_j^dagger + Q_j, j = 1 .. count.
 
     Phi_1 = e^{A h} and Q_1 = int_0^h e^{A s} D e^{A^dagger s} ds come from
     one block exponential (Van Loan, IEEE TAC 23 (1978) 395-404):
     expm([[-A, D], [0, A^dagger]] h) = [[., G], [0, Phi^dagger]], Q_1 = Phi G.
-    G carries e^{-A h}, whose rounding grows like e^{h |Re lambda|} for the
-    fastest mode lambda, so the map is formed at s = h / 2^j with
-    s |Re lambda| <= 1 and doubled back up j times through
+    G carries e^{-A h}, whose rounding grows like e^{h speed} with speed
+    = max |Re lambda| over the eigenvalues of A, so the map is formed at
+    s = h / 2^j with s speed <= 1 and doubled back up j times through
     Q(2s) = Phi(s) Q(s) Phi(s)^dagger + Q(s) and Phi(2s) = Phi(s)^2; the stacks
     double likewise, Phi_{n+i} = Phi_i Phi_n, Q_{n+i} = Phi_i Q_n Phi_i^dagger + Q_i.
     """
     m = a.shape[0]
-    rate = h * float(np.abs(np.linalg.eigvals(a).real).max())
+    rate = h * speed
     j = int(np.ceil(np.log2(rate))) if rate > 1.0 else 0
     e = expm((h / 2 ** j) * np.block([[-a, d], [np.zeros_like(a), a.conj().T]]))
     phi = e[m:, m:].conj().T
@@ -203,14 +203,18 @@ def integrate_moments(sys, T, dt=None, x0=None):
     Each step is the exact solution X <- Phi X Phi^dagger + Q_d of the
     moment ODE, taken BLOCK_STEPS at a time through the j-step maps of
     _step_maps.  The default step is 0.01 / |spectral abscissa| of the
-    loop drift, the last one shortened to end at T.  Propagation stops
-    early (diverged=True) once any entry magnitude exceeds 1e12, which
-    is how an unstable loop is reported rather than as an exception.
+    loop drift, the last one shortened to end at T; one Schur
+    factorization of the drift gives that abscissa and the speed of
+    _step_maps.  Propagation stops early (diverged=True) once any entry
+    magnitude exceeds 1e12, which is how an unstable loop is reported
+    rather than as an exception.
     """
     if not 0 < T < math.inf:
         raise PreconditionError(f"horizon must be positive and finite, got {T!r}")
+    re = schur(sys.A_cl)[0].diagonal().real
+    speed = float(np.abs(re).max())
     if dt is None:
-        rate = abs(spectral_abscissa(sys.A_cl))
+        rate = abs(float(re.max()))
         if rate == 0.0:
             raise PreconditionError("loop has zero spectral abscissa; supply dt explicitly")
         dt = 0.01 / rate
@@ -225,7 +229,7 @@ def integrate_moments(sys, T, dt=None, x0=None):
         while k < steps and not len(over):
             n = min(full - k, BLOCK_STEPS) or 1
             if k in (0, full):
-                phis, phis_h, qs = _step_maps(sys.A_cl, sys.D, dt if k < full else last, n)
+                phis, phis_h, qs = _step_maps(sys.A_cl, sys.D, dt if k < full else last, speed, n)
             block = phis[:n] @ x @ phis_h[:n] + qs[:n]
             # NaN compares false, so a non-finite entry counts as over the limit
             over = np.flatnonzero(~(np.abs(block).max(axis=(1, 2)) <= DIVERGENCE_LIMIT))[:1]

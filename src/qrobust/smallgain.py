@@ -30,7 +30,8 @@ T X T^dagger, so for every 2n x 2n matrix X
 
 P is structured iff P_r = T P T^dagger is real symmetric, and
 F_r = T F T^dagger is real because F is Sigma-invariant.  certify()
-makes two attempts:
+makes two attempts, looking both solvers up as module globals at call
+time so that a caller can rebind either:
 
  1. a fast path (solve_qmi, route 'two-channel-are'): the shifted
     Riccati equation at eps = EPS_START_FACTOR |F|_2 with B B^dagger and
@@ -45,7 +46,8 @@ makes two attempts:
     inequality with margin at least eps.  The sums add the
     Sigma-conjugate channel (-J E^dagger, E), so solvability takes more
     than the margin;
- 2. an exact log-barrier solve of the inequality's Schur-complement form,
+ 2. when solve_qmi raises InfeasibleError or NumericError (_solve_lmi),
+    an exact log-barrier solve of the inequality's Schur-complement form,
     a linear matrix inequality over the real symmetric P_r, for the
     global minimum of its top eigenvalue (route 'eig-opt').  This
     attempt is exact, so its failure is not a stalled search: a
@@ -118,9 +120,12 @@ class StructuredP:
     are_residual is the max-entry residual of the Riccati equation the
     producing construction actually solved, evaluated on its own
     solution; it is None for the shift-free construction, which does not
-    solve an equation.  qmi_max_eig is the top eigenvalue of the strict
-    inequality left side (no shift) at the returned P and is negative
-    for every accepted certificate.
+    solve an equation.  structure_residual, max |Sigma P^# Sigma - P|, is
+    exactly 0.0: _structure_symmetrize forms an entry and its Sigma-pair
+    by the same commutative sums, and a real rescaling keeps the pairing.
+    qmi_max_eig is the top eigenvalue of the strict inequality left side
+    (no shift) at the returned P and is negative for every accepted
+    certificate.
     """
 
     P: np.ndarray
@@ -161,15 +166,15 @@ def compute_F(model):
     return PlantMatrices(F=f, B=b, C=c, n=n)
 
 
-def _hurwitz(t, margin_tol):
+def _hurwitz(t):
     """is_hurwitz on the Schur form T of the drift."""
     poles = t.diagonal()
     abscissa = float(poles.real.max())
-    return abscissa < -margin_tol * float(np.abs(poles).max()), abscissa
+    return abscissa < -HURWITZ_MARGIN_TOL * float(np.abs(poles).max()), abscissa
 
 
-def is_hurwitz(f, margin_tol=HURWITZ_MARGIN_TOL):
-    """(all eigenvalues strictly left of -margin_tol |lambda|_max, spectral abscissa).
+def is_hurwitz(f):
+    """(all eigenvalues strictly left of -HURWITZ_MARGIN_TOL |lambda|_max, spectral abscissa).
 
     The margin is relative to the largest eigenvalue modulus, so the test
     does not depend on the time unit.
@@ -177,16 +182,16 @@ def is_hurwitz(f, margin_tol=HURWITZ_MARGIN_TOL):
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise DimensionError("drift matrix must be square")
-    return _hurwitz(schur(f)[0], margin_tol)
+    return _hurwitz(schur(f)[0])
 
 
-def hinf_norm(plant, rel_tol=1e-9, schur=None):
-    """||H||_inf by the Hamiltonian level-set method, within rel_tol.
+def hinf_norm(plant, schur=None):
+    """||H||_inf by the Hamiltonian level-set method, within relative 1e-9.
 
     schur=(T, U) passes on a Schur factorization of the drift already
     computed.  Raises PreconditionError when the drift is not Hurwitz.
     """
-    return hinf_bisect(plant.F, plant.B, plant.C, rel_tol=rel_tol, schur=schur)
+    return hinf_bisect(plant.F, plant.B, plant.C, schur=schur)
 
 
 def _inv_gamma_sq(gamma):
@@ -226,11 +231,12 @@ def _accept(cert):
     return cert
 
 
-def solve_qmi(plant, gamma, eps):
-    """Structured certificate from the Sigma-summed Riccati equation at one shift.
+def solve_qmi(plant, gamma):
+    """Structured certificate from the Sigma-summed Riccati equation.
 
-    Solves the real equation of the module docstring by the
-    invariant-subspace method and re-verifies P = T^dagger P_r T against
+    Solves the real equation of the module docstring at the shift
+    eps = EPS_START_FACTOR |F|_2 (the constant is read at call time) by
+    the invariant-subspace method and re-verifies P = T^dagger P_r T against
     the strict inequality without the shift.  By the Sigma-average
     identity, R_r and Q_r are T R T^dagger and T Q T^dagger for
     R = 4 (B B^dagger + B' B'^dagger), Q = (C^dagger C + E^dagger E) /
@@ -240,8 +246,7 @@ def solve_qmi(plant, gamma, eps):
     solution exists at this shift or P fails the verification; certify()
     then goes on to the exact LMI.
     """
-    if eps <= 0:
-        raise PreconditionError(f"shift must be positive, got {eps!r}")
+    eps = EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
     tq = constants(plant.n).T
     tq_h = tq.conj().T
     b_r, c_r = tq @ plant.B, plant.C @ tq_h
@@ -376,16 +381,6 @@ def _solve_lmi(plant, gamma):
     return _accept(_certificate(plant, gamma, p, 0.0, "eig-opt", None))
 
 
-def _qmi_search(plant, gamma):
-    """The two attempts of the module docstring."""
-    eps = EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
-    try:
-        return solve_qmi(plant, gamma, eps)
-    except (InfeasibleError, NumericError):
-        pass
-    return _solve_lmi(plant, gamma)
-
-
 def comm_constant(p, e_tilde):
     """Double commutator [z, [z, V]] of the output z = E x against V = x^dagger P x.
 
@@ -482,7 +477,7 @@ def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0):
     _check_offsets(delta1, delta2)
     plant = compute_F(model)
     t, u, _ = schur(plant.F)
-    hurwitz, abscissa = _hurwitz(t, HURWITZ_MARGIN_TOL)
+    hurwitz, abscissa = _hurwitz(t)
     if not hurwitz:
         return CertificationReport(
             verdict="not-hurwitz", hurwitz=False, spectral_abscissa=abscissa,
@@ -493,7 +488,10 @@ def certify(model, gamma=math.inf, delta1=0.0, delta2=0.0):
         return CertificationReport(
             verdict="gain-violated", hurwitz=True, spectral_abscissa=abscissa,
             hinf=hinf, gamma=gamma, margin=margin, delta1=delta1, delta2=delta2)
-    cert = _qmi_search(plant, gamma)
+    try:  # the two attempts of the module docstring
+        cert = solve_qmi(plant, gamma)
+    except (InfeasibleError, NumericError):
+        cert = _solve_lmi(plant, gamma)
     mu = comm_constant(cert.P, model.E_tilde)
     lam = noise_trace(cert.P, model.N_a)
     slack = -cert.qmi_max_eig

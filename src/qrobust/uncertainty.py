@@ -92,12 +92,16 @@ def from_bilinear_coupling(g, kappa_b):
     """One-mode uncertainty block for a bilinear coupling of strength g.
 
     The coupled mode obeys d b = -kappa_b/2 b dt + g z dt + noise and
-    the constraint output is w = -i g^* b.
+    the constraint output is w = -i g^* b.  |g|^2 must be finite.
     """
     kappa_b = float(kappa_b)
     if not (kappa_b > 0):
         raise PreconditionError(f"damping rate must be positive, got {kappa_b!r}")
     g = complex(g)
+    # a product overflows to inf where abs() of a complex would raise OverflowError
+    g_sq = g.real * g.real + g.imag * g.imag
+    if not g_sq < math.inf:
+        raise PreconditionError(f"coupling strength g = {g!r} has no finite |g|^2")
     return LinearUncertainty(
         A_u=np.array([[-0.5 * kappa_b]], dtype=complex),
         B_u=np.array([[g]], dtype=complex),
@@ -105,8 +109,8 @@ def from_bilinear_coupling(g, kappa_b):
         noise_cov=np.array([[kappa_b]], dtype=complex))
 
 
-def _gain(a, b, c, rel_tol, tu):
-    norm = hinf_bisect(a, b, c, rel_tol=rel_tol, schur=tu)
+def _gain(a, b, c, tu):
+    norm = hinf_bisect(a, b, c, schur=tu)
     return math.inf if norm == 0.0 else 1.0 / norm
 
 
@@ -121,12 +125,12 @@ def _delta1(a, c, w, tu):
     return max(value.real, 0.0)
 
 
-def qsiqc_params(u, rel_tol=1e-9):
+def qsiqc_params(u):
     """(gamma, delta1, delta2) for the two sector constraints.
 
     gamma = 1 / ||C_u (sI - A_u)^{-1} B_u||_inf, or +inf for a zero
     channel, is the largest gain parameter the block satisfies; the norm
-    is within rel_tol of an attained response value.  delta1 = C_u X
+    is within relative 1e-9 of an attained response value.  delta1 = C_u X
     C_u^dagger, with X the steady covariance solving A_u X + X A_u^dagger
     + NoiseCov = 0.  Raises PreconditionError when A_u is not Hurwitz.
 
@@ -137,7 +141,7 @@ def qsiqc_params(u, rel_tol=1e-9):
     """
     a, b, c, w = _validate(u)
     tu = _hurwitz_schur(a)
-    return _gain(a, b, c, rel_tol, tu), _delta1(a, c, w, tu), 0.0
+    return _gain(a, b, c, tu), _delta1(a, c, w, tu), 0.0
 
 
 _UNC_FIELDS = ("A_u", "B_u", "C_u", "NoiseCov")

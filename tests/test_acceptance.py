@@ -97,9 +97,8 @@ def test_criterion_3_hurwitz_boundary_bisection():
     def hurwitz_at(kappa_a):
         model, _, _ = build_opa_model(OpaParams(
             chi=chi, kappa_a=kappa_a, kappa_b=1.0, abar=0.5, bbar=bbar))
-        # margin_tol=0 probes the raw sign flip, not the certification margin
-        flag, _ = is_hurwitz(compute_F(model).F, margin_tol=0.0)
-        return flag
+        # the abscissa's sign is the raw flip, not the certification margin
+        return is_hurwitz(compute_F(model).F)[1] < 0.0
 
     lo, hi = 0.1, 2.0
     assert not hurwitz_at(lo)

@@ -210,6 +210,15 @@ def test_moments_bad_coupling_exits_two(model_files, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_moments_overflowing_coupling_is_named(model_files, capsys):
+    stable, _, _ = model_files
+    code = run(["moments", str(stable), "--coupling", "1e200,1e200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: coupling strength g")
+    assert "gamma" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("flags", [["--t-final", "nan"], ["--t-final", "-1"],
                                    ["--t-final", "inf"], ["--dt", "0"]])
 def test_moments_bad_horizon_or_step_writes_nothing(model_files, tmp_path, capsys, flags):
@@ -242,6 +251,16 @@ def test_opa_overflowing_or_nonfinite_amplitude_exits_two(capsys, abar, bbar):
     # overflow notes may come first; the last line is the error
     assert captured.err.splitlines()[-1].startswith("error:")
     assert captured.out == ""
+
+
+def test_opa_overflowing_coupling_is_named(capsys):
+    # abar 1e200 gives g = 2 chi abar = 2e199, whose |g|^2 overflows
+    code = run(["opa", "--chi", "0.1", "--kappa-a", "2", "--kappa-b", "4",
+                "--abar", "1e200,0", "--bbar", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: coupling strength g")
+    assert "gamma" not in captured.err and captured.out == ""
 
 
 def test_opa_point_run(capsys):

@@ -235,6 +235,8 @@ def test_generator_decomposition_validation():
         check_generator_decomposition(1, 0, "nope", p, e, 16)
     with pytest.raises(PreconditionError):
         check_generator_decomposition(1, 0, "I", p, e, 12)
+    # no upper cap: the check forms only N x N one-mode matrices
+    assert check_generator_decomposition(2, 1, "b_dag_b", p, e, 48) <= 1e-7
 
 
 def test_structured_p_required():

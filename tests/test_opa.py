@@ -106,7 +106,7 @@ def test_spectral_abscissa_matches_pole_formula():
     for _ in range(20):
         p = draw_params(rng)
         model, _, _ = build_opa_model(p)
-        _, absc = is_hurwitz(compute_F(model).F, 0.0)
+        _, absc = is_hurwitz(compute_F(model).F)
         expected = -0.5 * p.kappa_a + p.chi * abs(p.bbar)
         assert abs(absc - expected) <= 1e-10 * max(1.0, abs(expected))
 

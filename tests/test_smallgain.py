@@ -12,7 +12,7 @@ import pytest
 from qrobust import smallgain
 from qrobust._linalg import hermitian_part, transfer_scalar
 from qrobust.errors import InfeasibleError, NumericError, PreconditionError
-from qrobust.model import constants, validate_model
+from qrobust.model import constants, structure_residual, validate_model
 from qrobust.opa import OpaParams, build_opa_model, draw_params
 from qrobust.smallgain import (COMM_FACTOR, EPS_START_FACTOR, PlantMatrices,
                                _solve_lmi, certify, comm_constant, compute_F,
@@ -111,7 +111,8 @@ def test_freq_response_bounded_by_hinf():
 
 def test_solve_qmi_flagship_certificate():
     plant = flagship_plant()
-    cert = solve_qmi(plant, FLAGSHIP_GAMMA, 1e-2 * np.linalg.norm(plant.F, 2))
+    cert = solve_qmi(plant, FLAGSHIP_GAMMA)
+    assert cert.eps == EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
     p = cert.P
     scale = float(np.abs(p).max())
     assert float(np.abs(p - p.conj().T).max()) <= 1e-10 * scale
@@ -130,7 +131,7 @@ def test_solve_qmi_flagship_certificate():
 
 def test_solve_qmi_unbounded_gamma():
     plant = flagship_plant()
-    cert = solve_qmi(plant, math.inf, 1e-2 * np.linalg.norm(plant.F, 2))
+    cert = solve_qmi(plant, math.inf)
     assert cert.min_eig > 0
     assert cert.qmi_max_eig < 0
 
@@ -370,11 +371,13 @@ def test_lmi_rung_is_invariant_under_time_rescaling(index, c):
 FULL_LADDER_FLOOR = 1e-10  # full_ladder's smallest shift, over |F|_2
 
 
-def single_channel(plant, gamma, eps):
+def single_channel(plant, gamma):
     """The single-channel Riccati rung certify() no longer tries: the
     stabilizing solution of F^dagger P + P F + 4 P B B^dagger P +
-    C^dagger C / gamma^2 + eps I = 0, symmetrized into the doubled-up
-    class (route 'shifted-are')."""
+    C^dagger C / gamma^2 + eps I = 0, eps = EPS_START_FACTOR |F|_2 as
+    solve_qmi reads it, symmetrized into the doubled-up class (route
+    'shifted-are')."""
+    eps = smallgain.EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
     r = 4.0 * plant.B @ plant.B.conj().T
     q = (smallgain._inv_gamma_sq(gamma) * (plant.C.conj().T @ plant.C)
          + eps * np.eye(2 * plant.n))
@@ -388,15 +391,17 @@ def full_ladder(plant, gamma):
     """The certificate search that runs the single-channel rung and then
     solve_qmi over every shift, EPS_START_FACTOR |F|_2 halved down to
     FULL_LADDER_FLOOR |F|_2, before the LMI rung: the reference for
-    certify()."""
-    nf = float(np.linalg.norm(plant.F, 2))
-    for solver in (single_channel, solve_qmi):
-        eps = EPS_START_FACTOR * nf
-        while eps >= FULL_LADDER_FLOOR * nf:
-            try:
-                return solver(plant, gamma, eps)
-            except (InfeasibleError, NumericError):
-                eps *= 0.5
+    certify().  It halves the shift by patching EPS_START_FACTOR, which
+    both solvers read at call time."""
+    with pytest.MonkeyPatch.context() as patched:
+        for solver in (single_channel, solve_qmi):
+            factor = EPS_START_FACTOR
+            while factor >= FULL_LADDER_FLOOR:
+                patched.setattr(smallgain, "EPS_START_FACTOR", factor)
+                try:
+                    return solver(plant, gamma)
+                except (InfeasibleError, NumericError):
+                    factor *= 0.5
     return _solve_lmi(plant, gamma)
 
 
@@ -473,6 +478,18 @@ def test_certificate_ladder_stops_where_it_cannot_succeed(monkeypatch, n, index,
     assert len(calls) <= 1
 
 
+@pytest.mark.parametrize("n, index, factor, route", [
+    (4, 0, 6.0 / 2.1, "two-channel-are"),
+    (2, 0, 1.0, "eig-opt"),
+])
+def test_certificates_are_exactly_structured(n, index, factor, route):
+    model, gamma = tight_margin_draw(5, n, index)
+    rep = certify(model, factor * gamma)
+    assert rep.P.route == route
+    assert rep.P.structure_residual == 0.0
+    assert structure_residual(rep.P.P, n) == 0.0
+
+
 def test_lmi_ends_in_one_outcome_where_its_minimum_is_about_zero():
     # the 17th loose (gamma = 6 ||H||_inf) n_a = 8 draw of seed 5, after 20
     # each at n_a = 1, 2 and 4, with the uncertainty's own gamma and offsets:
@@ -510,10 +527,11 @@ def test_hurwitz_margin_scales_with_the_drift(c):
     assert abs(c * rep_c.hinf - rep.hinf) <= 1e-9 * rep.hinf
 
 
-def complex_two_channel(plant, gamma, eps):
+def complex_two_channel(plant, gamma):
     """The Sigma-summed (two-channel) equation solved as a complex
-    equation, as it was before the quadrature coordinates: the reference
-    for solve_qmi."""
+    equation, as it was before the quadrature coordinates, at solve_qmi's
+    shift: the reference for solve_qmi."""
+    eps = smallgain.EPS_START_FACTOR * float(np.linalg.norm(plant.F, 2))
     cn = constants(plant.n)
     e = plant.C.conj() @ cn.Sigma
     b2 = -cn.J @ e.conj().T

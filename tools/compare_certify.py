@@ -9,7 +9,9 @@ One subprocess per side certifies, with its own `src/`, `tests/` and
 set it prints the draws whose inputs differ, the verdict changes (errors
 by type), the route moves, per route kept (with its shift) the draws
 whose P or ms_bound bytes differ and the largest relative differences,
-and the moved draws' new/old ms_bound ratios.
+and the moved draws' new/old ms_bound ratios.  It exits 1 when any
+draw's input digest or verdict differs between the two sides, so it can
+serve as a gate.
 """
 
 import argparse
@@ -102,6 +104,7 @@ def main(argv=None):
     old, new = (pickle.loads(out) for out in outs)
     if len(old) != len(new):
         sys.exit("the two sides certified different numbers of draws")
+    differ = 0
     for name in dict.fromkeys(r["set"] for r in old):
         pairs = [(a, b) for a, b in zip(old, new) if a["set"] == name]
         changed = Counter((a["verdict"], b["verdict"]) for a, b in pairs
@@ -110,8 +113,9 @@ def main(argv=None):
         kept = [(a, b) for a, b in both if (a["route"], a["eps"]) == (b["route"], b["eps"])]
         moved = [(a, b) for a, b in both if (a["route"], a["eps"]) != (b["route"], b["eps"])]
         ratios = sorted(b["ms_bound"] / a["ms_bound"] for a, b in moved)
-        print(f"{name}: {len(pairs)} draws, "
-              f"{sum(a['input'] != b['input'] for a, b in pairs)} with different inputs, "
+        inputs = sum(a["input"] != b["input"] for a, b in pairs)
+        differ += inputs + sum(changed.values())
+        print(f"{name}: {len(pairs)} draws, {inputs} with different inputs, "
               f"{sum(changed.values())} verdict changes {dict(changed)}")
         print(f"  {len(moved)} moved {dict(Counter((a['route'], b['route']) for a, b in moved))}")
         for route in sorted({a["route"] for a, _ in kept}):
@@ -127,7 +131,7 @@ def main(argv=None):
         if ratios:
             print(f"  moved new/old ms_bound: median {ratios[len(ratios) // 2]:.3g}, "
                   f"range {ratios[0]:.3g}-{ratios[-1]:.3g}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
